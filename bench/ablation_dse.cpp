@@ -56,24 +56,22 @@ report()
                 "(Fig 7) before being scored.\n");
 
     // Fast-path ablation: the same sweep with the exact maxPes prune
-    // and with the analytic prepass, against the full single-phase run.
-    // The prune is lossless and the prepass proxy keeps the real
-    // leaders, so the top designs match the full run.
+    // and with the analytic top-K tier, against the full single-phase
+    // run. Both are lossless here, so the top designs match the full
+    // run.
     std::printf("\nfast-path ablation (matmul 8x8x8, larger 12x12x12 "
                 "elaboration)\n");
     bench::row({"mode", "evaluated", "skipped", "evaluate ms", "cand/s",
                 "speedup"}, 12);
     bench::rule(6, 12);
     double full_ms = 0.0;
-    for (int mode = 0; mode < 4; mode++) {
+    for (int mode = 0; mode < 3; mode++) {
         accel::DseOptions options;
         options.topK = 6;
         options.threads = 1;
         if (mode == 1)
             options.maxPes = 256;
         if (mode == 2)
-            options.analyticPrepass = 24;
-        if (mode == 3)
             options.analyticTopK = 24;
         accel::DseStats stats;
         auto candidates = accel::exploreDataflows(
@@ -82,13 +80,10 @@ report()
         benchmark::DoNotOptimize(candidates);
         if (mode == 0)
             full_ms = stats.evaluateMs;
-        const char *labels[] = {"full", "maxPes=256", "prepass=24",
-                                "analytic-k=24"};
-        double total_ms =
-                stats.prepassMs + stats.analyticMs + stats.evaluateMs;
+        const char *labels[] = {"full", "maxPes=256", "analytic-k=24"};
+        double total_ms = stats.analyticMs + stats.evaluateMs;
         bench::row({labels[mode], std::to_string(stats.evaluated),
                     std::to_string(stats.prunedEarly +
-                                   stats.prepassFiltered +
                                    stats.analyticFiltered),
                     formatDouble(total_ms, 1),
                     formatDouble(stats.candidatesPerSecond(), 1),
@@ -131,49 +126,6 @@ report()
                         formatDouble(candidate.score * 1e9, 2)},
                        10);
         }
-    }
-
-    // Streaming ablation: the fused streamed scan vs the materialized
-    // two-phase path over the hop-3 coefficient-[-3,3] space (40.4M
-    // codes; orbit canonicalization skips ~87% before decoding). The
-    // survivor sequence, counters, and final table are byte-identical
-    // by contract — only the wall time differs. Counters below are
-    // deterministic; wall-derived values appear only on " ms" lines or
-    // in the trailing speedup column.
-    std::printf("\nstreaming ablation (matmul 8x8x8, coeff [-3,3], "
-                "hop 3, analytic-top-k 12)\n");
-    bench::row({"mode", "enumerated", "orbit-skipped", "enum+tier ms",
-                "speedup"}, 14);
-    bench::rule(5, 14);
-    double materialized_ms = 0.0;
-    for (int mode = 0; mode < 2; mode++) {
-        accel::DseOptions options;
-        options.topK = 6;
-        options.threads = 1;
-        options.enumerate.maxHopLength = 3;
-        options.enumerate.minCoeff = -3;
-        options.enumerate.maxCoeff = 3;
-        options.enumerate.limit = 30000;
-        options.analyticTopK = 12;
-        options.streamEnumeration = mode == 1;
-        accel::DseStats stats;
-        auto candidates = accel::exploreDataflows(
-                func::matmulSpec(), {8, 8, 8}, options, area_params,
-                timing_params, &stats);
-        benchmark::DoNotOptimize(candidates);
-        // Fused: analyticMs mirrors enumerateMs (one phase). Split:
-        // the two phases are timed separately and sum.
-        double total_ms = mode == 1
-                                  ? stats.enumerateMs
-                                  : stats.enumerateMs + stats.analyticMs;
-        if (mode == 0)
-            materialized_ms = total_ms;
-        bench::row({mode == 0 ? "materialized" : "streamed",
-                    std::to_string(stats.enumerated),
-                    std::to_string(stats.orbitSkipped),
-                    formatDouble(total_ms, 1),
-                    formatDouble(materialized_ms / total_ms, 2) + "x"},
-                   14);
     }
 
     // Failure surfacing: a starved step budget fails every candidate,
@@ -281,7 +233,7 @@ BM_EnumerateOnly(benchmark::State &state)
 BENCHMARK(BM_EnumerateOnly)->Unit(benchmark::kMillisecond);
 
 // The pull-style scan alone, never materializing the transform vector:
-// the enumeration cost the fused analytic tier actually pays.
+// the enumeration cost the analytic tier actually pays.
 void
 BM_EnumerateStreamOnly(benchmark::State &state)
 {

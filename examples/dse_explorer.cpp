@@ -7,7 +7,7 @@
  * than being special cases.
  *
  * usage: dse_explorer [--threads N] [--topk K] [--step-budget B]
- *                     [--time-budget MS] [--max-pes P] [--prepass K]
+ *                     [--time-budget MS] [--max-pes P]
  *                     [--analytic-top-k K] [--max-hop H]
  *   --threads N      evaluation workers (0 = hardware concurrency);
  *                    rankings are identical for every thread count
@@ -20,9 +20,6 @@
  *   --max-pes P      drop candidates over P PEs before elaboration;
  *                    the analytic count is exact, so the prune is
  *                    lossless (0 = keep everything)
- *   --prepass K      two-phase mode: analytically probe everything and
- *                    full-elaborate only the best K candidates
- *                    (0 = single phase)
  *   --analytic-top-k K  three-tier mode: closed-form score every
  *                    candidate (no elaboration), full-elaborate only
  *                    the best K — the exact same final ranking at a
@@ -33,9 +30,6 @@
  *   --retry-wall-clock  re-run a candidate whose wall-clock deadline
  *                    expired exactly once (transient slowness recovers;
  *                    deterministic step-budget timeouts never retry)
- *   --no-stream      materialize the transform vector instead of
- *                    fusing enumeration into the analytic tier
- *                    (byte-identical output; streaming is the default)
  */
 
 #include <algorithm>
@@ -70,9 +64,6 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--max-pes") == 0 && i + 1 < argc)
             options.maxPes =
                     std::max<std::int64_t>(0, std::atoll(argv[++i]));
-        else if (std::strcmp(argv[i], "--prepass") == 0 && i + 1 < argc)
-            options.analyticPrepass =
-                    std::size_t(std::max(0, std::atoi(argv[++i])));
         else if (std::strcmp(argv[i], "--analytic-top-k") == 0 &&
                  i + 1 < argc)
             options.analyticTopK =
@@ -82,14 +73,12 @@ main(int argc, char **argv)
                     std::max<std::int64_t>(1, std::atoll(argv[++i]));
         else if (std::strcmp(argv[i], "--retry-wall-clock") == 0)
             options.retryWallClockTimeout = true;
-        else if (std::strcmp(argv[i], "--no-stream") == 0)
-            options.streamEnumeration = false;
         else {
             std::printf("usage: dse_explorer [--threads N] [--topk K] "
                         "[--step-budget B] [--time-budget MS] "
-                        "[--max-pes P] [--prepass K] "
+                        "[--max-pes P] "
                         "[--analytic-top-k K] [--max-hop H] "
-                        "[--retry-wall-clock] [--no-stream]\n");
+                        "[--retry-wall-clock]\n");
             return 1;
         }
     }

@@ -81,10 +81,6 @@ usage()
             "  --topk K          designs to keep (default 10)\n"
             "  --max-pes P       prune candidates over P PEs (exact "
             "analytic count)\n"
-            "  --prepass K       analytically probe everything, fully "
-            "evaluate only\n"
-            "                    the best K candidates (0 = single "
-            "phase)\n"
             "  --analytic-top-k K  closed-form score every candidate, "
             "elaborate only\n"
             "                    the best K (exact ranking, millions of "
@@ -114,12 +110,6 @@ usage()
             "stats report\n"
             "                    (deterministic, byte-comparable "
             "output)\n"
-            "  --no-stream       materialize the transform vector "
-            "instead of fusing\n"
-            "                    enumeration into the analytic tier "
-            "(byte-identical\n"
-            "                    output; the streamed path is the "
-            "default)\n"
             "  --shard I/N       scan only shard I of N (a contiguous "
             "slice of the\n"
             "                    orbit-canonical code space); requires "
@@ -230,9 +220,6 @@ main(int argc, char **argv)
             dse_request.topK = std::size_t(std::max(1, std::atoi(next())));
         else if (arg == "--max-pes")
             dse_request.maxPes = std::max<std::int64_t>(0, std::atoll(next()));
-        else if (arg == "--prepass")
-            dse_request.prepass =
-                    std::size_t(std::max(0, std::atoi(next())));
         else if (arg == "--analytic-top-k")
             dse_request.analyticTopK =
                     std::size_t(std::max(0, std::atoi(next())));
@@ -254,8 +241,6 @@ main(int argc, char **argv)
             dse_request.retryWallClock = true;
         else if (arg == "--no-timings")
             dse_request.timings = false;
-        else if (arg == "--no-stream")
-            dse_request.stream = false;
         else if (arg == "--shard") {
             long long index = 0, count = 0;
             if (std::sscanf(next(), "%lld/%lld", &index, &count) != 2 ||

@@ -10,9 +10,9 @@
  * IterationSpace::connInstances). Probing a candidate this way costs a
  * handful of small determinants instead of a full iteration-space walk,
  * which makes two things possible: a *lossless* maxPes prune (the
- * analytic PE count equals the elaborated one exactly), and an optional
- * two-phase exploration that full-elaborates only the analytically
- * promising candidates (DseOptions::analyticPrepass).
+ * analytic PE count equals the elaborated one exactly), and the
+ * closed-form scoring of accel/analytic_cost.hpp that the DSE's
+ * analytic tier ranks every candidate by.
  *
  * All arithmetic saturates instead of wrapping: at extreme transform
  * coefficients the per-axis extents exceed the int64 range, and a

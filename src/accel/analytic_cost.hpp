@@ -34,12 +34,19 @@
  * buffers so a sweep over a million candidates allocates nothing. The
  * DSE tier runs it serially, which is also what makes the tier's
  * ranking trivially byte-identical at any thread or shard count.
+ *
+ * AnalyticTopK is the tier's survivor selection. exploreDataflows and
+ * the shard merge (accel/records.hpp) both select through it, so a
+ * merged sweep keeps exactly the survivors a single process keeps.
  */
 
 #ifndef STELLAR_ACCEL_ANALYTIC_COST_HPP
 #define STELLAR_ACCEL_ANALYTIC_COST_HPP
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/accelerator.hpp"
@@ -89,9 +96,6 @@ class AnalyticCostModel
                       const model::AreaParams &area_params,
                       const model::TimingParams &timing_params);
 
-    /** The shared probe space (also usable by the analytic prepass). */
-    const core::IterationSpace &probeSpace() const { return space_; }
-
     /**
      * Score one candidate. Not thread-safe (reuses scratch buffers);
      * not `const` for the same reason.
@@ -123,6 +127,92 @@ class AnalyticCostModel
     IntVec spaceDelta_;
     IntVec extents_;
     std::vector<double> wireAreas_;
+};
+
+/**
+ * Bounded selection of the best `k` analytically scored candidates,
+ * ordered by (saturated, score, enumIndex); `Payload` rides along (a
+ * transform in exploreDataflows, a record pointer in the shard merge).
+ *
+ * The saturated flag, not the clamped magnitude, is the primary key: a
+ * clamp rounds to double(INT64_MAX), which can compare *equal* to a
+ * legitimately huge unsaturated score, and a tie decided by enumIndex
+ * could then keep the saturated candidate over the honest one.
+ */
+template <typename Payload>
+class AnalyticTopK
+{
+  public:
+    struct Key
+    {
+        bool saturated = false;
+        double score = 0.0;
+        std::size_t index = 0; //!< enumeration index, the tie-break
+    };
+
+    struct Entry
+    {
+        Key key;
+        Payload payload;
+    };
+
+    explicit AnalyticTopK(std::size_t k) : k_(k)
+    {
+        heap_.reserve(std::min<std::size_t>(k, 4096));
+    }
+
+    /** True when `a` ranks strictly before `b`. */
+    static bool
+    better(const Key &a, const Key &b)
+    {
+        if (a.saturated != b.saturated)
+            return !a.saturated; // clamped scores rank last
+        if (a.score != b.score)
+            return a.score < b.score;
+        return a.index < b.index;
+    }
+
+    /** Offer one candidate; `payload` is copied only if it is kept. */
+    void
+    offer(const Key &key, const Payload &payload)
+    {
+        offered_++;
+        // With `better` as the heap comparator the front is the worst
+        // kept entry: the eviction point.
+        auto worse_first = [](const Entry &a, const Entry &b) {
+            return better(a.key, b.key);
+        };
+        if (heap_.size() < k_) {
+            heap_.push_back({key, payload});
+            std::push_heap(heap_.begin(), heap_.end(), worse_first);
+        } else if (!heap_.empty() && better(key, heap_.front().key)) {
+            std::pop_heap(heap_.begin(), heap_.end(), worse_first);
+            heap_.back() = {key, payload};
+            std::push_heap(heap_.begin(), heap_.end(), worse_first);
+        }
+    }
+
+    /** Candidates offered so far. */
+    std::size_t offered() const { return offered_; }
+
+    /** Candidates kept so far (at most k). */
+    std::size_t kept() const { return heap_.size(); }
+
+    /** Release the kept entries in enumeration order. */
+    std::vector<Entry>
+    takeInIndexOrder()
+    {
+        std::sort(heap_.begin(), heap_.end(),
+                  [](const Entry &a, const Entry &b) {
+                      return a.key.index < b.key.index;
+                  });
+        return std::move(heap_);
+    }
+
+  private:
+    std::size_t k_;
+    std::size_t offered_ = 0;
+    std::vector<Entry> heap_;
 };
 
 } // namespace stellar::accel

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <optional>
 
 #include "accel/analytic.hpp"
 #include "accel/analytic_cost.hpp"
-#include "core/prune.hpp"
 #include "model/area.hpp"
 #include "model/timing.hpp"
 #include "util/fault_inject.hpp"
@@ -141,43 +141,6 @@ DseStats::analyticCandidatesPerSecond() const
     return double(analyticRanked) / (analyticMs / 1e3);
 }
 
-std::vector<std::size_t>
-analyticPrepassSurvivors(
-        const std::vector<dataflow::SpaceTimeTransform> &transforms,
-        const std::vector<std::size_t> &worklist, const IntVec &bounds,
-        const core::IterationSpace &probe_space, std::size_t keep)
-{
-    struct Proxy
-    {
-        bool saturated;
-        double proxy;
-        std::size_t index;
-    };
-    std::vector<Proxy> proxies;
-    proxies.reserve(worklist.size());
-    for (std::size_t index : worklist) {
-        auto probe = analyticProbe(transforms[index], bounds, probe_space);
-        double proxy = double(probe.scheduleLength) * double(probe.pes);
-        proxies.push_back({probe.saturated, proxy, index});
-    }
-    std::sort(proxies.begin(), proxies.end(),
-              [](const Proxy &a, const Proxy &b) {
-                  if (a.saturated != b.saturated)
-                      return !a.saturated; // clamped counts rank last
-                  if (a.proxy != b.proxy)
-                      return a.proxy < b.proxy;
-                  return a.index < b.index;
-              });
-    if (proxies.size() > keep)
-        proxies.resize(keep);
-    std::vector<std::size_t> survivors;
-    survivors.reserve(proxies.size());
-    for (const auto &proxy : proxies)
-        survivors.push_back(proxy.index);
-    std::sort(survivors.begin(), survivors.end());
-    return survivors;
-}
-
 std::vector<DseCandidate>
 exploreDataflows(const func::FunctionalSpec &functional,
                  const IntVec &bounds, const DseOptions &options,
@@ -185,195 +148,67 @@ exploreDataflows(const func::FunctionalSpec &functional,
                  const model::TimingParams &timing_params, DseStats *stats)
 {
     DseStats local;
+    auto front_start = Clock::now();
 
-    // The evaluate phase below consumes (enumIndex, transform) pairs in
-    // enumeration order; both the fused-streaming and the materialized
-    // front halves produce exactly the same `work` sequence.
+    // One front half: a sink on the coefficient scan applies the exact
+    // maxPes prune (analyticPeCount equals the elaborated numPes()), then
+    // either appends the survivor to `work` unscored (no analytic tier)
+    // or scores it in closed form into the bounded top-K. The transform
+    // vector is never materialized, so 1e8-code walks fit in memory. The
+    // tier scores serially in enumeration order and its survivors are
+    // released in enumeration order, so `work` — and therefore the final
+    // ranking — is byte-identical at any thread or shard count. With an
+    // empty balancing spec the analytic score equals the elaborated one
+    // bit-for-bit, making the filter lossless for the final top-K (see
+    // analytic_cost.hpp).
     std::vector<std::pair<std::size_t, dataflow::SpaceTimeTransform>> work;
-
-    // Fused streaming front half: score candidates with the closed-form
-    // model as the coefficient scan streams them. The bounded top-K
-    // heap (keyed like the materialized tier: saturated, analytic
-    // score, enumIndex) is the only O(K) state — the transform vector
-    // is never materialized, which is what makes 1e8-code walks fit in
-    // memory. The streamed survivor sequence is byte-identical to the
-    // materialized scan, so the survivor set, counters, and final
-    // ranking are unchanged. Engages only when the analytic tier alone
-    // filters (a prepass needs the whole worklist at once).
-    const bool fused = options.streamEnumeration &&
-                       options.analyticTopK > 0 &&
-                       options.analyticPrepass == 0;
-    if (fused) {
-        auto enumerate_start = Clock::now();
-        AnalyticCostModel cost_model(functional, bounds, options.sparsity,
-                                     options.dataWidth, options.macBits,
-                                     area_params, timing_params);
-        struct Ranked
-        {
-            bool saturated;
-            double score;
-            std::size_t index;
-            dataflow::SpaceTimeTransform transform;
-        };
-        auto better = [](const Ranked &a, const Ranked &b) {
-            if (a.saturated != b.saturated)
-                return !a.saturated; // clamped scores rank last
-            if (a.score != b.score)
-                return a.score < b.score;
-            return a.index < b.index;
-        };
-        std::vector<Ranked> heap;
-        heap.reserve(std::min<std::size_t>(options.analyticTopK, 4096));
-        std::size_t scored = 0;
-        dataflow::forEachTransform(
-                functional, options.enumerate,
-                [&](const dataflow::EnumeratedTransform &item) {
-                    // Exact maxPes prune, same as the materialized path.
-                    if (options.maxPes > 0 &&
-                        analyticPeCount(item.transform, bounds) >
-                                options.maxPes) {
-                        local.prunedEarly++;
-                        return true;
-                    }
-                    auto analytic = cost_model.score(item.transform);
-                    scored++;
-                    Ranked ranked{analytic.saturated, analytic.score,
-                                  item.index, item.transform};
-                    if (heap.size() < options.analyticTopK) {
-                        heap.push_back(std::move(ranked));
-                        std::push_heap(heap.begin(), heap.end(), better);
-                    } else if (better(ranked, heap.front())) {
-                        std::pop_heap(heap.begin(), heap.end(), better);
-                        heap.back() = std::move(ranked);
-                        std::push_heap(heap.begin(), heap.end(), better);
-                    }
+    const bool tiered = options.analyticTopK > 0;
+    std::optional<AnalyticCostModel> cost_model;
+    if (tiered)
+        cost_model.emplace(functional, bounds, options.sparsity,
+                           options.dataWidth, options.macBits, area_params,
+                           timing_params);
+    AnalyticTopK<dataflow::SpaceTimeTransform> top(options.analyticTopK);
+    Clock::duration score_time{};
+    dataflow::forEachTransform(
+            functional, options.enumerate,
+            [&](const dataflow::EnumeratedTransform &item) {
+                if (options.maxPes > 0 &&
+                    analyticPeCount(item.transform, bounds) >
+                            options.maxPes) {
+                    local.prunedEarly++;
                     return true;
-                },
-                &local.enumeration);
-        local.enumerated = std::size_t(local.enumeration.yielded);
-        local.orbitSkipped = std::size_t(local.enumeration.orbitSkipped);
-        if (scored > options.analyticTopK) {
-            local.analyticRanked = scored;
-            local.analyticFiltered = scored - heap.size();
-        }
-        // else: too few survivors for the tier to filter — counters
-        // stay 0, exactly as when the materialized tier is skipped.
-        std::sort(heap.begin(), heap.end(),
-                  [](const Ranked &a, const Ranked &b) {
-                      return a.index < b.index;
-                  });
-        work.reserve(heap.size());
-        for (auto &ranked : heap)
-            work.emplace_back(ranked.index, std::move(ranked.transform));
-        local.enumerateMs = msSince(enumerate_start);
-        // The tier is fused into the scan; report the same wall for
-        // both phases (comparisons filter timing lines anyway).
-        local.analyticMs = local.analyticRanked > 0 ? local.enumerateMs
-                                                    : 0.0;
-    } else {
-    auto enumerate_start = Clock::now();
-    auto transforms = dataflow::enumerateTransforms(
-            functional, options.enumerate, &local.enumeration);
-    local.enumerateMs = msSince(enumerate_start);
-    local.enumerated = transforms.size();
+                }
+                if (!tiered) {
+                    work.emplace_back(item.index, item.transform);
+                    return true;
+                }
+                auto score_start = Clock::now();
+                auto analytic = cost_model->score(item.transform);
+                score_time += Clock::now() - score_start;
+                top.offer({analytic.saturated, analytic.score, item.index},
+                          item.transform);
+                return true;
+            },
+            &local.enumeration);
+    local.enumerated = std::size_t(local.enumeration.yielded);
     local.orbitSkipped = std::size_t(local.enumeration.orbitSkipped);
-
-    // Fix the work list (and each candidate's enumIndex) up front so the
-    // ranking never depends on evaluation order. The maxPes prune is
-    // exact: analyticPeCount equals the elaborated numPes(), so only
-    // candidates that genuinely exceed the cap are dropped.
-    std::vector<std::size_t> worklist;
-    worklist.reserve(transforms.size());
-    for (std::size_t i = 0; i < transforms.size(); i++) {
-        if (options.maxPes > 0 &&
-            analyticPeCount(transforms[i], bounds) > options.maxPes) {
-            local.prunedEarly++;
-            continue;
+    if (tiered) {
+        // With too few survivors for the tier to filter, its counters
+        // and timing stay 0 and the scoring counts as enumeration.
+        if (top.offered() > options.analyticTopK) {
+            local.analyticRanked = top.offered();
+            local.analyticFiltered = top.offered() - top.kept();
+            local.analyticMs =
+                    std::chrono::duration<double, std::milli>(score_time)
+                            .count();
         }
-        worklist.push_back(i);
+        auto kept = top.takeInIndexOrder();
+        work.reserve(kept.size());
+        for (auto &entry : kept)
+            work.emplace_back(entry.key.index, std::move(entry.payload));
     }
-
-    // Optional analytic prepass: probe every surviving candidate in
-    // closed form and keep only the most promising ones for the full
-    // elaboration below. The probe shares one elaborated + sparsity-
-    // pruned space across candidates (both are transform-independent;
-    // balancing is transform-specific and deliberately left to the full
-    // evaluation). The proxy is the same execution-time x area shape as
-    // the real score with fmax and per-PE area held constant, and the
-    // survivor list is re-sorted back into enumeration order so the
-    // evaluate phase below behaves exactly as in a single-phase run.
-    if (options.analyticPrepass > 0 &&
-        worklist.size() > options.analyticPrepass) {
-        auto prepass_start = Clock::now();
-        core::IterationSpace probe_space =
-                core::elaborate(functional, bounds);
-        core::applySparsity(probe_space, options.sparsity);
-        local.prepassFiltered = worklist.size() - options.analyticPrepass;
-        worklist = analyticPrepassSurvivors(transforms, worklist, bounds,
-                                            probe_space,
-                                            options.analyticPrepass);
-        local.prepassMs = msSince(prepass_start);
-    }
-
-    // Analytic top-K tier: score every surviving candidate with the
-    // closed-form cost model (no elaboration) and keep only the best
-    // analyticTopK for the exact evaluation below. The tier is scored
-    // serially in enumeration order and its heap is keyed (saturated,
-    // analytic score, enumIndex), so the survivor set — and therefore
-    // the final ranking — is byte-identical at any thread or
-    // enumeration-shard count; survivors are re-sorted back into
-    // enumeration order so the evaluate phase behaves exactly as in a
-    // single-phase run. With an empty balancing spec the analytic score
-    // equals the elaborated score bit-for-bit, making this filter
-    // lossless for the final top-K (see analytic_cost.hpp).
-    if (options.analyticTopK > 0 && worklist.size() > options.analyticTopK) {
-        auto analytic_start = Clock::now();
-        AnalyticCostModel cost_model(functional, bounds, options.sparsity,
-                                     options.dataWidth, options.macBits,
-                                     area_params, timing_params);
-        struct Ranked
-        {
-            bool saturated;
-            double score;
-            std::size_t index;
-        };
-        auto better = [](const Ranked &a, const Ranked &b) {
-            if (a.saturated != b.saturated)
-                return !a.saturated; // clamped scores rank last
-            if (a.score != b.score)
-                return a.score < b.score;
-            return a.index < b.index;
-        };
-        // Bounded heap of the best K seen so far. With the "better"
-        // ordering as the heap comparator, the front is the *worst*
-        // kept candidate — the eviction point.
-        std::vector<Ranked> heap;
-        heap.reserve(std::min<std::size_t>(options.analyticTopK, 4096));
-        for (std::size_t index : worklist) {
-            auto analytic = cost_model.score(transforms[index]);
-            Ranked ranked{analytic.saturated, analytic.score, index};
-            if (heap.size() < options.analyticTopK) {
-                heap.push_back(ranked);
-                std::push_heap(heap.begin(), heap.end(), better);
-            } else if (better(ranked, heap.front())) {
-                std::pop_heap(heap.begin(), heap.end(), better);
-                heap.back() = ranked;
-                std::push_heap(heap.begin(), heap.end(), better);
-            }
-        }
-        local.analyticRanked = worklist.size();
-        local.analyticFiltered = worklist.size() - heap.size();
-        worklist.clear();
-        for (const auto &ranked : heap)
-            worklist.push_back(ranked.index);
-        std::sort(worklist.begin(), worklist.end());
-        local.analyticMs = msSince(analytic_start);
-    }
-
-    work.reserve(worklist.size());
-    for (std::size_t index : worklist)
-        work.emplace_back(index, std::move(transforms[index]));
-    } // end materialized front half
+    local.enumerateMs = msSince(front_start) - local.analyticMs;
 
     auto candidates = evaluateAndRank(std::move(work), functional, bounds,
                                       options, area_params, timing_params,

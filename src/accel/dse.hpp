@@ -138,24 +138,15 @@ struct DseOptions
     std::int64_t maxPes = 0;
 
     /**
-     * Two-phase exploration: when nonzero, every candidate is first
-     * probed analytically (exact PE count and schedule length, no
-     * iteration-space walk), and only the best `analyticPrepass`
-     * candidates by the schedule-length x PE proxy are fully elaborated
-     * and scored. The rest are counted in DseStats::prepassFiltered.
-     * The proxy tracks the delay-area score but is not identical to it,
-     * so set this comfortably above topK. 0 disables the prepass.
-     */
-    std::size_t analyticPrepass = 0;
-
-    /**
      * Three-tier exploration: when nonzero, every candidate surviving
-     * the prunes above is scored by the closed-form AnalyticCostModel
-     * (no elaboration — millions of candidates per second), a
-     * deterministic top-K heap ordered by (saturated, analytic score,
-     * enumIndex) keeps the best `analyticTopK`, and only those
-     * survivors are fully elaborated and exactly re-scored. The rest
-     * are counted in DseStats::analyticFiltered.
+     * the maxPes prune is scored by the closed-form AnalyticCostModel
+     * as the coefficient scan streams it (no elaboration — millions of
+     * candidates per second), a deterministic AnalyticTopK ordered by
+     * (saturated, analytic score, enumIndex) keeps the best
+     * `analyticTopK`, and only those survivors are fully elaborated and
+     * exactly re-scored. The rest are counted in
+     * DseStats::analyticFiltered. The heap is the only O(K) state, so
+     * hop-4-scale walks (1e8 codes) fit under `enumerate.limit`.
      *
      * With an empty balancing spec the analytic score is bit-identical
      * to the elaborated one, so the final ranking equals a full run's
@@ -166,21 +157,6 @@ struct DseOptions
      * or enumeration-shard count. 0 disables the tier.
      */
     std::size_t analyticTopK = 0;
-
-    /**
-     * Fuse enumeration into the analytic tier: when true (the default)
-     * and `analyticTopK` is active (nonzero, and no analyticPrepass),
-     * candidates are scored by the closed-form model as the coefficient
-     * scan streams them, so the transform vector is never materialized
-     * and the bounded top-K heap is the only O(K) state — hop-4-scale
-     * walks (1e8 codes) become feasible under `enumerate.limit`. The
-     * streamed survivor sequence is byte-identical to the materialized
-     * scan, so rankings and counters are unchanged; `enumerateMs` then
-     * covers the fused enumerate+score phase and `analyticMs` mirrors
-     * it. Set false to force the materialized two-phase path (the
-     * differential tests compare both).
-     */
-    bool streamEnumeration = true;
 
     /** Optional sparsity/balancing applied to every candidate, so the
      *  search sees the interactions between dataflow and the other
@@ -258,9 +234,6 @@ struct DseStats
     std::size_t prunedEarly = 0; //!< skipped by the exact maxPes prune
     std::size_t failed = 0;      //!< candidates that threw (isolated)
 
-    /** Candidates dropped by the analyticPrepass proxy ranking. */
-    std::size_t prepassFiltered = 0;
-
     /** Candidates scored by the analytic tier (DseOptions::analyticTopK). */
     std::size_t analyticRanked = 0;
     /** Candidates the analytic tier dropped (never elaborated). */
@@ -292,9 +265,11 @@ struct DseStats
      *  across thread counts. */
     std::vector<CandidateFailure> failures;
 
-    double enumerateMs = 0.0; //!< wall time enumerating transforms
-    double prepassMs = 0.0;   //!< wall time in the analytic prepass
-    double analyticMs = 0.0;  //!< wall time in the analytic top-K tier
+    /** Front-half wall time (scan, prune, top-K) minus analyticMs. */
+    double enumerateMs = 0.0;
+    /** Time inside AnalyticCostModel::score calls; 0 when the tier
+     *  did not filter (analyticRanked == 0). */
+    double analyticMs = 0.0;
     double evaluateMs = 0.0;  //!< wall time elaborating + scoring
     double rankMs = 0.0;      //!< wall time in the top-K reduction
 
@@ -310,11 +285,14 @@ struct DseStats
  * returned candidates are sorted by ascending score (best first), ties
  * broken by enumeration index, so the ranking is deterministic across
  * runs and thread counts. When `stats` is non-null it receives the
- * counters for this call; `evaluated + prunedEarly + prepassFiltered +
- * analyticFiltered + failed == enumerated` always holds, and with the
- * default isolateFailures a
- * throwing candidate becomes a recorded CandidateFailure rather than
- * an exception out of this call.
+ * counters for this call; `evaluated + prunedEarly + analyticFiltered +
+ * failed == enumerated` always holds, and with the default
+ * isolateFailures a throwing candidate becomes a recorded
+ * CandidateFailure rather than an exception out of this call.
+ *
+ * The front half is a single dataflow::forEachTransform sink: the
+ * maxPes prune, then either the analytic top-K (analyticTopK > 0) or
+ * every survivor straight to evaluateAndRank.
  */
 std::vector<DseCandidate> exploreDataflows(
         const func::FunctionalSpec &functional, const IntVec &bounds,
@@ -341,25 +319,6 @@ std::vector<DseCandidate> evaluateAndRank(
         const func::FunctionalSpec &functional, const IntVec &bounds,
         const DseOptions &options, const model::AreaParams &area_params,
         const model::TimingParams &timing_params, DseStats &stats);
-
-/**
- * The analyticPrepass proxy ranking used by exploreDataflows: probe
- * every worklist candidate in closed form against `probe_space`, rank
- * by (saturated, scheduleLength x PEs proxy, enumeration index), and
- * return the best `keep` indices re-sorted into enumeration order.
- *
- * Saturated probes always rank after every unsaturated one. The flag —
- * not the clamped magnitude — must be the primary key: a clamp rounds
- * to double(INT64_MAX), which can compare *equal* to a legitimately
- * huge unsaturated design's proxy, and a tie decided by enumeration
- * index could then keep the saturated candidate. Exposed so the
- * regression test can pin this with 2^62-coefficient transforms that
- * enumeration never produces.
- */
-std::vector<std::size_t> analyticPrepassSurvivors(
-        const std::vector<dataflow::SpaceTimeTransform> &transforms,
-        const std::vector<std::size_t> &worklist, const IntVec &bounds,
-        const core::IterationSpace &probe_space, std::size_t keep);
 
 } // namespace stellar::accel
 

@@ -544,26 +544,11 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     // with shard files in the chunk role. Dedup against a global
     // signature set, apply the maxPes prune and the analytic top-K
     // heap to every global yield, and stop at enumLimit — all in code
-    // order, so the fold is independent of input-file order.
-    struct Ranked
-    {
-        bool saturated;
-        double score;
-        std::size_t index;
-        const CandidateRecord *record;
-    };
-    auto better = [](const Ranked &a, const Ranked &b) {
-        if (a.saturated != b.saturated)
-            return !a.saturated; // clamped scores rank last
-        if (a.score != b.score)
-            return a.score < b.score;
-        return a.index < b.index;
-    };
-    std::vector<Ranked> heap;
+    // order, so the fold is independent of input-file order. The heap is
+    // the same AnalyticTopK exploreDataflows selects through.
     const std::size_t analytic_top_k = std::size_t(config.analyticTopK);
-    heap.reserve(std::min<std::size_t>(analytic_top_k, 4096));
+    AnalyticTopK<const CandidateRecord *> top(analytic_top_k);
     std::set<std::vector<std::int64_t>> signatures;
-    std::size_t scored = 0;
     std::int64_t yielded = 0;
     std::int64_t merge_duplicates = 0;
     std::int64_t prior_examined = 0;
@@ -595,17 +580,8 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                 record.analyticPes > config.maxPes) {
                 local.prunedEarly++;
             } else {
-                scored++;
-                Ranked ranked{record.saturated, record.score, index,
-                              &record};
-                if (heap.size() < analytic_top_k) {
-                    heap.push_back(ranked);
-                    std::push_heap(heap.begin(), heap.end(), better);
-                } else if (better(ranked, heap.front())) {
-                    std::pop_heap(heap.begin(), heap.end(), better);
-                    heap.back() = ranked;
-                    std::push_heap(heap.begin(), heap.end(), better);
-                }
+                top.offer({record.saturated, record.score, index},
+                          &record);
             }
             if (yielded >= config.enumLimit) {
                 limited = true;
@@ -638,30 +614,26 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                                      local.enumeration.decoded;
     local.enumerated = std::size_t(yielded);
     local.orbitSkipped = std::size_t(local.enumeration.orbitSkipped);
-    if (scored > analytic_top_k) {
-        local.analyticRanked = scored;
-        local.analyticFiltered = scored - heap.size();
+    if (top.offered() > analytic_top_k) {
+        local.analyticRanked = top.offered();
+        local.analyticFiltered = top.offered() - top.kept();
     }
-    std::sort(heap.begin(), heap.end(),
-              [](const Ranked &a, const Ranked &b) {
-                  return a.index < b.index;
-              });
     std::vector<std::pair<std::size_t, dataflow::SpaceTimeTransform>>
             work;
-    work.reserve(heap.size());
-    for (const Ranked &ranked : heap) {
+    for (const auto &entry : top.takeInIndexOrder()) {
         // The transform constructor re-validates invertibility; a
         // corrupted-but-checksummed matrix dies here, classified.
         work.emplace_back(
-                ranked.index,
+                entry.key.index,
                 dataflow::SpaceTimeTransform(
-                        ranked.record->matrix,
-                        "enumerated-" + std::to_string(ranked.index)));
+                        entry.payload->matrix,
+                        "enumerated-" + std::to_string(entry.key.index)));
     }
+    // The shard scans did the scoring; the fold scores nothing, so the
+    // whole walk is enumeration time and analyticMs stays 0.
     local.enumerateMs = std::chrono::duration<double, std::milli>(
                                 Clock::now() - enumerate_start)
                                 .count();
-    local.analyticMs = local.analyticRanked > 0 ? local.enumerateMs : 0.0;
 
     // Elaborate the folded survivors through exactly the back half a
     // single-process run uses.

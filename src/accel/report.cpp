@@ -111,8 +111,6 @@ dseStatsReport(const DseStats &stats, bool include_timings)
     if (stats.orbitSkipped > 0)
         os << stats.orbitSkipped << " orbit-skipped codes, ";
     os << stats.prunedEarly << " pruned early, ";
-    if (stats.prepassFiltered > 0)
-        os << stats.prepassFiltered << " prepass-filtered, ";
     if (stats.analyticFiltered > 0)
         os << stats.analyticFiltered << " analytic-filtered, ";
     os << stats.evaluated << " evaluated, " << stats.failed
@@ -121,10 +119,7 @@ dseStatsReport(const DseStats &stats, bool include_timings)
     if (include_timings) {
         os << "  enumerate " << formatDouble(stats.enumerateMs, 1)
            << " ms, ";
-        if (stats.prepassFiltered > 0 || stats.prepassMs > 0.0)
-            os << "prepass " << formatDouble(stats.prepassMs, 2)
-               << " ms, ";
-        if (stats.analyticRanked > 0)
+        if (stats.analyticMs > 0.0)
             os << "analytic " << formatDouble(stats.analyticMs, 2)
                << " ms ("
                << formatDouble(stats.analyticCandidatesPerSecond(), 1)

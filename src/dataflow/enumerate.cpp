@@ -18,8 +18,8 @@ namespace stellar::dataflow
 namespace
 {
 
-/** Below this many codes the sharded scan is not worth a pool. */
-constexpr std::int64_t kShardThreshold = 4096;
+/** Size of the first scan chunk (chunks then grow geometrically). */
+constexpr std::int64_t kFirstChunkCodes = 4096;
 
 int
 checkedIndices(const func::FunctionalSpec &spec)
@@ -45,8 +45,7 @@ struct RawCandidate
 
 /**
  * Decode one coefficient code and run the per-candidate filters;
- * nullopt when rejected. The oracle's serial and sharded scans both
- * call this, which is what keeps their outputs byte-identical.
+ * nullopt when rejected. Used by the serial oracle.
  */
 std::optional<RawCandidate>
 candidateAt(std::int64_t code, int n, std::int64_t min_coeff,
@@ -436,7 +435,7 @@ chunkBounds(std::int64_t total)
 {
     std::vector<std::pair<std::int64_t, std::int64_t>> out;
     std::int64_t lo = 0;
-    std::int64_t size = kShardThreshold;
+    std::int64_t size = kFirstChunkCodes;
     while (lo < total) {
         std::int64_t hi = std::min(total, lo + size);
         out.emplace_back(lo, hi);
@@ -452,9 +451,9 @@ chunkBounds(std::int64_t total)
  * Chunk schedule restricted to the options' shard slice: the bounds of
  * `chunkBounds(hi - lo)` shifted by `lo`, where [lo, hi) is slice
  * `shardIndex` of `shardCount` equal contiguous pieces of the full
- * space — the same `total*i/N` arithmetic as the sharded oracle, so
- * the N slices partition [0, total) exactly. The scan itself needs no
- * other change: `nextCanonical` works from any starting code.
+ * space — `total*i/N` arithmetic, so the N slices partition
+ * [0, total) exactly. The scan itself needs no other change:
+ * `nextCanonical` works from any starting code.
  */
 std::vector<std::pair<std::int64_t, std::int64_t>>
 shardChunkBounds(const Geometry &g, const EnumerateOptions &options)
@@ -730,73 +729,19 @@ enumerateTransformsOracle(const func::FunctionalSpec &spec,
         }
     }
 
-    std::size_t threads = options.threads;
-    if (threads == 0)
-        threads = std::max<std::size_t>(
-                1, std::thread::hardware_concurrency());
-
     std::vector<SpaceTimeTransform> found;
     std::set<std::vector<std::int64_t>> signatures;
-
-    if (threads <= 1 || total < kShardThreshold) {
-        // Serial scan, with the early exit the sharded path cannot take.
-        for (std::int64_t code = 0; code < total; code++) {
-            auto candidate = candidateAt(code, n, options.minCoeff, range,
-                                         recurrences, options);
-            if (!candidate)
-                continue;
-            if (!signatures.insert(candidate->signature).second)
-                continue; // same displacement structure as before
-            found.emplace_back(std::move(candidate->matrix),
-                               "enumerated-" +
-                                       std::to_string(found.size()));
-            if (found.size() >= options.limit)
-                break;
-        }
-        return found;
-    }
-
-    // Sharded scan: contiguous code ranges, one survivor list per
-    // shard. Each shard dedups locally (keeping the first code of every
-    // signature, exactly what the global merge would keep), then the
-    // merge walks shards in code order against the global signature
-    // set, so names, dedup winners, and the result vector match the
-    // serial scan byte for byte.
-    std::size_t shard_count =
-            std::size_t(std::min<std::int64_t>(std::int64_t(threads) * 8,
-                                               total));
-    util::ThreadPool pool(threads);
-    auto shards = pool.parallelMap<std::vector<RawCandidate>>(
-            shard_count, [&](std::size_t shard) {
-                std::int64_t lo = total * std::int64_t(shard) /
-                                  std::int64_t(shard_count);
-                std::int64_t hi = total * (std::int64_t(shard) + 1) /
-                                  std::int64_t(shard_count);
-                std::vector<RawCandidate> survivors;
-                std::set<std::vector<std::int64_t>> local;
-                for (std::int64_t code = lo; code < hi; code++) {
-                    auto candidate = candidateAt(code, n, options.minCoeff,
-                                                 range, recurrences,
-                                                 options);
-                    if (!candidate)
-                        continue;
-                    if (!local.insert(candidate->signature).second)
-                        continue;
-                    survivors.push_back(std::move(*candidate));
-                }
-                return survivors;
-            });
-
-    for (auto &shard : shards) {
-        for (auto &candidate : shard) {
-            if (!signatures.insert(candidate.signature).second)
-                continue;
-            found.emplace_back(std::move(candidate.matrix),
-                               "enumerated-" +
-                                       std::to_string(found.size()));
-            if (found.size() >= options.limit)
-                return found;
-        }
+    for (std::int64_t code = 0; code < total; code++) {
+        auto candidate = candidateAt(code, n, options.minCoeff, range,
+                                     recurrences, options);
+        if (!candidate)
+            continue;
+        if (!signatures.insert(candidate->signature).second)
+            continue; // same displacement structure as before
+        found.emplace_back(std::move(candidate->matrix),
+                           "enumerated-" + std::to_string(found.size()));
+        if (found.size() >= options.limit)
+            break;
     }
     return found;
 }

@@ -78,8 +78,8 @@ struct EnumerateOptions
 
     /**
      * Restrict the scan to shard `shardIndex` of `shardCount` equal
-     * contiguous slices of the coefficient-code space (the same
-     * `total*i/N` split the sharded oracle uses). `shardCount == 0`
+     * contiguous slices of the coefficient-code space (a `total*i/N`
+     * split). `shardCount == 0`
      * means unsharded; `shardCount == 1` is byte-identical to
      * unsharded. Stats are range-relative: `codesTotal` stays the full
      * space, the other counters cover only this shard's slice, so
@@ -181,9 +181,11 @@ namespace detail
 {
 
 /**
- * The pre-streaming enumerator (serial early-exit scan + sharded scan),
- * kept verbatim as the differential oracle for the stream. Ignores
- * `options.orbitCanonical`; examines every code.
+ * The pre-streaming serial enumerator, kept verbatim as the
+ * differential oracle for the stream: a plain early-exit walk over
+ * every code. Ignores `options.threads` and `options.orbitCanonical`.
+ * It lives in the library rather than in tests/ because the
+ * `stellar_fuzz` enumerate domain links it.
  */
 std::vector<SpaceTimeTransform> enumerateTransformsOracle(
         const func::FunctionalSpec &spec, const EnumerateOptions &options);

@@ -141,9 +141,7 @@ dseOptionsFor(const DseRequest &request, accel::DesignPointMemo *memo)
     options.threads = request.threads;
     options.topK = request.topK;
     options.maxPes = request.maxPes;
-    options.analyticPrepass = request.prepass;
     options.analyticTopK = request.analyticTopK;
-    options.streamEnumeration = request.stream;
     options.enumerate.maxHopLength = request.maxHop;
     options.enumerate.minCoeff = -request.maxCoeff;
     options.enumerate.maxCoeff = request.maxCoeff;
@@ -193,12 +191,6 @@ renderShardScan(const ShardScanRequest &request)
     if (request.dse.analyticTopK == 0)
         throw FatalError("--shard requires --analytic-top-k >= 1 "
                          "(shard scans are analytic-tier scans)");
-    if (!request.dse.stream)
-        throw FatalError("--shard requires the streamed enumeration "
-                         "(drop --no-stream)");
-    if (request.dse.prepass != 0)
-        throw FatalError("--shard is incompatible with --prepass "
-                         "(the analytic tier subsumes it)");
 
     accel::ShardConfig config;
     config.dim = request.dse.dim;

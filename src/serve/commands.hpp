@@ -64,8 +64,8 @@ accel::DseOptions dseOptionsFor(const DseRequest &request,
  * `stellar_cli dse --shard i/N --emit-records FILE`: scan one shard of
  * the candidate space and write its records file instead of a ranking.
  * Sharding is an analytic-tier transport, so the request must have the
- * streamed analytic tier on (`analyticTopK > 0`, `stream`, no legacy
- * prepass) — anything else is a FatalError before any work runs.
+ * analytic tier on (`analyticTopK > 0`); anything else is a FatalError
+ * before any work runs.
  */
 struct ShardScanRequest
 {

@@ -121,11 +121,6 @@ parseRequest(const std::string &text, const RequestLimits &limits)
                 request.dse.maxPes = intField(field, key, 0, kMaxBudget);
                 continue;
             }
-            if (key == "prepass") {
-                request.dse.prepass = std::size_t(
-                        intField(field, key, 0, kMaxBudget));
-                continue;
-            }
             if (key == "analytic_top_k") {
                 request.dse.analyticTopK = std::size_t(intField(
                         field, key, 0,
@@ -168,10 +163,6 @@ parseRequest(const std::string &text, const RequestLimits &limits)
             }
             if (key == "timings") {
                 request.dse.timings = boolField(field, key);
-                continue;
-            }
-            if (key == "stream") {
-                request.dse.stream = boolField(field, key);
                 continue;
             }
         }

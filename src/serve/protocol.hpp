@@ -19,7 +19,7 @@
  *   {"command":"sim","workload":"scnn","threads":2,
  *    "step_budget":0,"time_budget_ms":0}
  *   {"command":"dse","dim":8,"threads":2,"topk":10,"max_pes":0,
- *    "prepass":0,"analytic_top_k":0,"max_hop":2,"max_coeff":1,
+ *    "analytic_top_k":0,"max_hop":2,"max_coeff":1,
  *    "enum_limit":4096,"step_budget":0,"time_budget_ms":0,
  *    "retry_wall_clock":false,"fail_fast":false,"timings":false}
  *   {"command":"stats"}
@@ -68,7 +68,6 @@ struct DseRequest
     std::size_t threads = 1;
     std::size_t topK = 10;
     std::int64_t maxPes = 0;
-    std::size_t prepass = 0;
 
     /** DseOptions::analyticTopK: closed-form tier, 0 = disabled. */
     std::size_t analyticTopK = 0;
@@ -88,11 +87,6 @@ struct DseRequest
      *  served requests default to false so responses are deterministic
      *  and byte-comparable. Matches `stellar_cli dse --no-timings`. */
     bool timings = false;
-
-    /** DseOptions::streamEnumeration: fuse the coefficient scan into
-     *  the analytic tier (byte-identical output; false forces the
-     *  materialized path, matching `stellar_cli dse --no-stream`). */
-    bool stream = true;
 };
 
 /** One parsed, validated request. */

@@ -289,10 +289,8 @@ evaluateEnumerateInput(Rng &rng, const FuzzOptions &options,
 
     WatchdogScope guard("fuzz.enumerate", options.stepBudget,
                         options.timeBudgetMillis);
-    auto oracle_opt = eopt;
-    oracle_opt.threads = 1;
-    auto oracle = dataflow::detail::enumerateTransformsOracle(functional,
-                                                              oracle_opt);
+    auto oracle =
+            dataflow::detail::enumerateTransformsOracle(functional, eopt);
     dataflow::EnumerateStats stats;
     auto streamed =
             dataflow::enumerateTransforms(functional, eopt, &stats);
@@ -772,7 +770,8 @@ randomServeRequestText(Rng &rng, bool allow_shutdown)
         if (rng.nextBool(0.3))
             text += numField("max_pes", chooseInt({0, 64, 4096}, {-5}));
         if (rng.nextBool(0.3))
-            text += numField("prepass", chooseInt({0, 4}, {-1, 1000000}));
+            text += numField("analytic_top_k",
+                             chooseInt({0, 16}, {-1, 1000000}));
         if (rng.nextBool(0.5))
             text += numField("step_budget",
                              chooseInt({0, 200000},

@@ -10,15 +10,17 @@
  * full-elaboration winner); (2) determinism — analytic-tier rankings
  * are byte-identical at any evaluation thread count and any
  * enumeration shard count, and saturated (clamped) analytic results
- * always rank after every honestly-counted candidate, including in the
- * older analyticPrepass proxy ordering (the 2^62-coefficient
- * regression).
+ * always rank after every honestly-counted candidate in the shared
+ * AnalyticTopK selection (the 2^62-coefficient regression). The phase
+ * timers are pinned too: analyticMs times only the scoring calls.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <random>
 #include <vector>
 
@@ -164,7 +166,6 @@ TEST(AnalyticTier, TopKEqualsFullExplorationTopK)
 
         // Counter invariant with the analytic tier active.
         EXPECT_EQ(tier_stats.evaluated + tier_stats.prunedEarly +
-                          tier_stats.prepassFiltered +
                           tier_stats.analyticFiltered + tier_stats.failed,
                   tier_stats.enumerated);
         if (full_stats.enumerated > kKeep) {
@@ -241,11 +242,11 @@ TEST(AnalyticCost, ExtremeCoefficientsSaturateInsteadOfLying)
 
 // The 2^62-coefficient regression: a saturated probe's proxy is
 // double(INT64_MAX) x PEs = 2^63 x PEs, and a legitimate design whose
-// schedule length rounds to 2^63 in double produces the *equal* proxy.
-// The old (proxy, index) ordering then kept whichever enumerated first
-// — possibly the saturated one. The (saturated, proxy, index) ordering
-// must keep the honest design regardless of index order.
-TEST(AnalyticPrepass, SaturatedProxiesRankAfterUnsaturatedOnes)
+// schedule length rounds to 2^63 in double produces the *equal* value.
+// A (score, index) ordering then keeps whichever enumerated first —
+// possibly the saturated one. AnalyticTopK's (saturated, score, index)
+// ordering must keep the honest design regardless of index order.
+TEST(AnalyticTopK, SaturatedEntriesRankAfterEqualScoredHonestOnes)
 {
     auto spec = func::matmulSpec();
     IntVec bounds{4, 4, 4};
@@ -258,38 +259,83 @@ TEST(AnalyticPrepass, SaturatedProxiesRankAfterUnsaturatedOnes)
             IntMatrix{{1, 0, 0}, {0, 1, 0}, {huge, 0, 1}}, "saturated");
     // Largest representable unsaturated schedule: 3c + 4 = INT64_MAX
     // exactly, which rounds to the same double(2^63). PEs = 16, so the
-    // proxies compare equal and only the flag separates them.
+    // values compare equal and only the flag separates them.
     const std::int64_t c =
             (std::numeric_limits<std::int64_t>::max() - 4) / 3;
     ASSERT_EQ(3 * c + 4, std::numeric_limits<std::int64_t>::max());
     dataflow::SpaceTimeTransform honest(
             IntMatrix{{1, 0, 0}, {0, 1, 0}, {c, 0, 1}}, "honest");
 
-    {
-        auto clamped = accel::analyticProbe(saturated_transform, bounds,
-                                            probe_space);
-        auto exact = accel::analyticProbe(honest, bounds, probe_space);
-        ASSERT_TRUE(clamped.saturated);
-        ASSERT_FALSE(exact.saturated);
-        // The trap that motivates the flag-first ordering: the proxies
-        // really do compare equal in double.
-        ASSERT_EQ(double(clamped.scheduleLength) * double(clamped.pes),
-                  double(exact.scheduleLength) * double(exact.pes));
-    }
+    auto clamped = accel::analyticProbe(saturated_transform, bounds,
+                                        probe_space);
+    auto exact = accel::analyticProbe(honest, bounds, probe_space);
+    ASSERT_TRUE(clamped.saturated);
+    ASSERT_FALSE(exact.saturated);
+    // The trap that motivates the flag-first ordering: the values
+    // really do compare equal in double.
+    const double clamped_score =
+            double(clamped.scheduleLength) * double(clamped.pes);
+    const double exact_score =
+            double(exact.scheduleLength) * double(exact.pes);
+    ASSERT_EQ(clamped_score, exact_score);
 
-    std::vector<dataflow::SpaceTimeTransform> transforms{
-            saturated_transform, honest};
-    std::vector<std::size_t> worklist{0, 1};
-    auto survivors = accel::analyticPrepassSurvivors(
-            transforms, worklist, bounds, probe_space, 1);
-    ASSERT_EQ(survivors.size(), 1u);
-    EXPECT_EQ(survivors[0], 1u) << "prepass kept the saturated candidate";
+    // The saturated entry enumerates first, so an index tie-break
+    // alone would keep it.
+    using TopK = accel::AnalyticTopK<std::string>;
+    const TopK::Key saturated_key{true, clamped_score, 0};
+    const TopK::Key honest_key{false, exact_score, 1};
+    EXPECT_TRUE(TopK::better(honest_key, saturated_key));
+    EXPECT_FALSE(TopK::better(saturated_key, honest_key));
+
+    TopK one(1);
+    one.offer(saturated_key, saturated_transform.name());
+    one.offer(honest_key, honest.name());
+    EXPECT_EQ(one.offered(), 2u);
+    auto kept = one.takeInIndexOrder();
+    ASSERT_EQ(kept.size(), 1u);
+    EXPECT_EQ(kept[0].payload, "honest")
+            << "top-K kept the saturated candidate";
 
     // And with room for both, the saturated one still comes along
     // (filtered, not lost) — the ordering only demotes it.
-    auto both = accel::analyticPrepassSurvivors(transforms, worklist,
-                                                bounds, probe_space, 2);
-    EXPECT_EQ(both, (std::vector<std::size_t>{0, 1}));
+    TopK two(2);
+    two.offer(saturated_key, saturated_transform.name());
+    two.offer(honest_key, honest.name());
+    auto both = two.takeInIndexOrder();
+    ASSERT_EQ(both.size(), 2u);
+    EXPECT_EQ(both[0].payload, "saturated");
+    EXPECT_EQ(both[1].payload, "honest");
+}
+
+// Honest phase timing: analyticMs covers only the closed-form scoring
+// calls and enumerateMs the rest of the front half, so with the tier
+// active their sum fits inside the wall time of the whole call.
+TEST(AnalyticTier, PhaseTimersSplitTheFrontHalfHonestly)
+{
+    model::AreaParams area_params;
+    model::TimingParams timing_params;
+    accel::DseOptions options;
+    options.threads = 1;
+    options.topK = 8;
+    options.analyticTopK = 8;
+    options.enumerate.maxHopLength = 3;
+    options.enumerate.minCoeff = -2;
+    options.enumerate.maxCoeff = 2;
+    options.enumerate.limit = 2000;
+    accel::DseStats stats;
+    auto start = std::chrono::steady_clock::now();
+    auto candidates = accel::exploreDataflows(
+            func::matmulSpec(), {4, 4, 4}, options, area_params,
+            timing_params, &stats);
+    double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+    ASSERT_FALSE(candidates.empty());
+    ASSERT_GT(stats.analyticRanked, options.analyticTopK);
+    EXPECT_GT(stats.analyticMs, 0.0);
+    EXPECT_GE(stats.enumerateMs, 0.0);
+    EXPECT_LE(stats.enumerateMs + stats.analyticMs, wall_ms);
+    EXPECT_GT(stats.analyticCandidatesPerSecond(), 0.0);
 }
 
 } // namespace

@@ -294,8 +294,8 @@ expectSameCandidates(const std::vector<accel::DseCandidate> &got,
 void
 expectDseInvariants(const accel::DseStats &stats)
 {
-    EXPECT_EQ(stats.evaluated + stats.prunedEarly + stats.prepassFiltered +
-                      stats.analyticFiltered + stats.failed,
+    EXPECT_EQ(stats.evaluated + stats.prunedEarly + stats.analyticFiltered +
+                      stats.failed,
               stats.enumerated);
     EXPECT_EQ(stats.orbitSkipped,
               std::size_t(stats.enumeration.orbitSkipped));
@@ -307,12 +307,11 @@ expectDseInvariants(const accel::DseStats &stats)
     EXPECT_EQ(stats.enumerated, std::size_t(stats.enumeration.yielded));
 }
 
-// Tiered DSE end to end: the fused streaming front half, the
-// materialized analytic tier, and brute-force full elaboration must
-// produce the same top-K, and the fused path's counters must equal the
-// materialized path's exactly — at 1 and 4 evaluation threads, with
-// and without a maxPes prune.
-TEST(EnumerateStream, TieredDseStreamedEqualsMaterializedEqualsFull)
+// Tiered DSE end to end: the streamed analytic tier and brute-force
+// full elaboration (analyticTopK = 0) must produce the same top-K over
+// the same scan — identical enumeration and prune counters — at 1 and 4
+// evaluation threads, with and without a maxPes prune.
+TEST(EnumerateStream, TieredDseStreamedEqualsFull)
 {
     auto spec = func::matmulSpec();
     IntVec bounds{4, 4, 4};
@@ -331,13 +330,13 @@ TEST(EnumerateStream, TieredDseStreamedEqualsMaterializedEqualsFull)
         base.threads = 1;
 
         // Brute force: every survivor fully elaborated.
-        auto full_options = base;
-        full_options.streamEnumeration = false;
         accel::DseStats full_stats;
-        auto full = accel::exploreDataflows(spec, bounds, full_options,
+        auto full = accel::exploreDataflows(spec, bounds, base,
                                             area_params, timing_params,
                                             &full_stats);
         expectDseInvariants(full_stats);
+        EXPECT_EQ(full_stats.analyticRanked, 0u);
+        EXPECT_EQ(full_stats.analyticFiltered, 0u);
 
         accel::DseStats streamed_serial_stats;
         for (std::size_t threads : {1u, 4u}) {
@@ -346,40 +345,28 @@ TEST(EnumerateStream, TieredDseStreamedEqualsMaterializedEqualsFull)
             tier.threads = threads;
             tier.analyticTopK = 12;
 
-            auto streamed_options = tier;
-            streamed_options.streamEnumeration = true;
             accel::DseStats streamed_stats;
             auto streamed = accel::exploreDataflows(
-                    spec, bounds, streamed_options, area_params,
-                    timing_params, &streamed_stats);
+                    spec, bounds, tier, area_params, timing_params,
+                    &streamed_stats);
 
-            auto materialized_options = tier;
-            materialized_options.streamEnumeration = false;
-            accel::DseStats materialized_stats;
-            auto materialized = accel::exploreDataflows(
-                    spec, bounds, materialized_options, area_params,
-                    timing_params, &materialized_stats);
-
-            expectSameCandidates(streamed, materialized);
             expectSameCandidates(streamed, full);
             expectDseInvariants(streamed_stats);
-            expectDseInvariants(materialized_stats);
 
-            EXPECT_EQ(streamed_stats.enumerated,
-                      materialized_stats.enumerated);
-            EXPECT_EQ(streamed_stats.prunedEarly,
-                      materialized_stats.prunedEarly);
-            EXPECT_EQ(streamed_stats.analyticRanked,
-                      materialized_stats.analyticRanked);
-            EXPECT_EQ(streamed_stats.analyticFiltered,
-                      materialized_stats.analyticFiltered);
-            EXPECT_EQ(streamed_stats.evaluated,
-                      materialized_stats.evaluated);
-            EXPECT_EQ(streamed_stats.failed, materialized_stats.failed);
+            EXPECT_EQ(streamed_stats.enumerated, full_stats.enumerated);
+            EXPECT_EQ(streamed_stats.prunedEarly, full_stats.prunedEarly);
             EXPECT_EQ(streamed_stats.orbitSkipped,
-                      materialized_stats.orbitSkipped);
+                      full_stats.orbitSkipped);
             expectSameStats(streamed_stats.enumeration,
-                            materialized_stats.enumeration);
+                            full_stats.enumeration);
+            const std::size_t scored =
+                    full_stats.enumerated - full_stats.prunedEarly;
+            ASSERT_GT(scored, tier.analyticTopK);
+            EXPECT_EQ(streamed_stats.analyticRanked, scored);
+            EXPECT_EQ(streamed_stats.analyticFiltered,
+                      scored - tier.analyticTopK);
+            EXPECT_EQ(streamed_stats.failed, 0u);
+            EXPECT_EQ(streamed_stats.evaluated, tier.analyticTopK);
             if (threads == 1)
                 streamed_serial_stats = streamed_stats;
             else {
@@ -393,8 +380,8 @@ TEST(EnumerateStream, TieredDseStreamedEqualsMaterializedEqualsFull)
 }
 
 // The fused path with too few survivors for the tier to filter must
-// behave exactly like the materialized tier-skip: all survivors
-// elaborated, analytic counters zero.
+// behave exactly like a run without the tier: all survivors
+// elaborated, analytic counters and timing zero.
 TEST(EnumerateStream, FusedTierSkipsWhenSurvivorsFitInK)
 {
     auto spec = func::matmulSpec();
@@ -405,7 +392,6 @@ TEST(EnumerateStream, FusedTierSkipsWhenSurvivorsFitInK)
     options.topK = 6;
     options.threads = 1;
     options.analyticTopK = 4096; // far above the hop-2 survivor count
-    options.streamEnumeration = true;
     accel::DseStats stats;
     auto candidates = accel::exploreDataflows(
             spec, bounds, options, area_params, timing_params, &stats);
@@ -413,6 +399,7 @@ TEST(EnumerateStream, FusedTierSkipsWhenSurvivorsFitInK)
     expectDseInvariants(stats);
     EXPECT_EQ(stats.analyticRanked, 0u);
     EXPECT_EQ(stats.analyticFiltered, 0u);
+    EXPECT_EQ(stats.analyticMs, 0.0);
     EXPECT_EQ(stats.evaluated, stats.enumerated);
 }
 

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -277,60 +276,6 @@ TEST(FastPath, MaxPesPruneIsLossless)
     EXPECT_EQ(pruned_stats.evaluated + pruned_stats.prunedEarly +
                       pruned_stats.failed,
               pruned_stats.enumerated);
-}
-
-TEST(FastPath, AnalyticPrepassKeepsTheLeaders)
-{
-    model::AreaParams area_params;
-    model::TimingParams timing_params;
-    auto spec = func::matmulSpec();
-    IntVec bounds = {8, 8, 8};
-
-    accel::DseOptions full;
-    full.topK = 100000;
-    full.threads = 1;
-    auto everything = accel::exploreDataflows(spec, bounds, full,
-                                              area_params, timing_params);
-
-    accel::DseOptions two_phase = full;
-    two_phase.analyticPrepass = 20;
-    accel::DseStats stats;
-    auto survivors =
-            accel::exploreDataflows(spec, bounds, two_phase, area_params,
-                                    timing_params, &stats);
-
-    EXPECT_EQ(stats.evaluated, 20u);
-    EXPECT_EQ(stats.prepassFiltered, stats.enumerated - 20);
-    EXPECT_EQ(stats.evaluated + stats.prunedEarly +
-                      stats.prepassFiltered + stats.analyticFiltered +
-                      stats.failed,
-              stats.enumerated);
-
-    // Every survivor scores identically to its full-run counterpart.
-    for (const auto &candidate : survivors) {
-        auto match = std::find_if(
-                everything.begin(), everything.end(),
-                [&](const accel::DseCandidate &c) {
-                    return c.enumIndex == candidate.enumIndex;
-                });
-        ASSERT_NE(match, everything.end());
-        EXPECT_EQ(candidate.pes, match->pes);
-        EXPECT_EQ(candidate.scheduleLength, match->scheduleLength);
-        EXPECT_DOUBLE_EQ(candidate.score, match->score);
-    }
-
-    // The schedule-length x PE proxy keeps the actual best design.
-    ASSERT_FALSE(survivors.empty());
-    EXPECT_EQ(survivors[0].enumIndex, everything[0].enumIndex);
-
-    // Two-phase rankings stay deterministic across thread counts.
-    accel::DseOptions parallel = two_phase;
-    parallel.threads = 4;
-    auto parallel_run = accel::exploreDataflows(
-            spec, bounds, parallel, area_params, timing_params);
-    ASSERT_EQ(parallel_run.size(), survivors.size());
-    for (std::size_t i = 0; i < survivors.size(); i++)
-        EXPECT_EQ(parallel_run[i].enumIndex, survivors[i].enumIndex);
 }
 
 TEST(Saturate, ClampsAtTheInt64Boundaries)

@@ -189,23 +189,18 @@ TEST(ServeProtocol, EnforcesProtocolCaps)
                  FatalError);
 }
 
-TEST(ServeProtocol, ParsesStreamToggleAndDefaultsOn)
+TEST(ServeProtocol, RejectsRemovedStreamAndPrepassFields)
 {
-    // Streaming is the default (byte-identical to materialized, so the
-    // served contract is unchanged); "stream":false forces the
-    // materialized path — the differential tests' knob over the wire.
-    Request defaults = serve::parseRequest("{\"command\":\"dse\"}");
-    EXPECT_TRUE(defaults.dse.stream);
-    Request off = serve::parseRequest(
-            "{\"command\":\"dse\",\"stream\":false}");
-    EXPECT_FALSE(off.dse.stream);
-    Request on = serve::parseRequest(
-            "{\"command\":\"dse\",\"stream\":true}");
-    EXPECT_TRUE(on.dse.stream);
-    // sim has no stream field.
-    EXPECT_THROW(serve::parseRequest(
-                         "{\"command\":\"sim\",\"stream\":true}"),
-                 FatalError);
+    // The DSE has one front half, so the old "stream" toggle and the
+    // "prepass" proxy tier are gone from the wire: like any other
+    // unknown field they are rejected, never silently ignored.
+    for (const char *text : {"{\"command\":\"dse\",\"stream\":true}",
+                             "{\"command\":\"dse\",\"stream\":false}",
+                             "{\"command\":\"dse\",\"prepass\":0}",
+                             "{\"command\":\"dse\",\"prepass\":24}"}) {
+        SCOPED_TRACE(text);
+        EXPECT_THROW(serve::parseRequest(text), FatalError);
+    }
 }
 
 TEST(ServeProtocol, RejectsScansBeyondTheCodeBudget)

@@ -82,8 +82,13 @@ class ShardDir : public ::testing::Test
     void
     SetUp() override
     {
+        // One directory per test: ctest runs each case as its own
+        // process, in parallel under -j.
         dir_ = std::filesystem::temp_directory_path() /
-               "stellar_shard_merge_test";
+               (std::string("stellar_shard_merge_test_") +
+                ::testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name());
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }
