@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <set>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -25,11 +25,6 @@ namespace json = util::json;
 
 using Clock = std::chrono::steady_clock;
 
-/** Largest integer every double round-trips exactly (2^53). Analytic
- *  PE counts are clamped here at record time so the JSON number path
- *  cannot silently round them; any realistic maxPes is far below. */
-constexpr std::int64_t kMaxExactInt = std::int64_t(1) << 53;
-
 [[noreturn]] void
 fail(const std::string &what)
 {
@@ -43,6 +38,19 @@ checksumHex(const std::string &payload)
     std::snprintf(buffer, sizeof(buffer), "%016llx",
                   (unsigned long long)util::fnv1a(payload));
     return buffer;
+}
+
+/** The code space every shard of one sweep scans (no limit: shard
+ *  scans record every survivor, the merge applies `enumLimit`). */
+dataflow::EnumerateOptions
+enumerateOptionsFor(const ShardConfig &config)
+{
+    dataflow::EnumerateOptions enumerate;
+    enumerate.minCoeff = -config.maxCoeff;
+    enumerate.maxCoeff = config.maxCoeff;
+    enumerate.maxHopLength = config.maxHop;
+    enumerate.limit = std::numeric_limits<std::size_t>::max();
+    return enumerate;
 }
 
 std::string
@@ -91,23 +99,6 @@ std::string
 serializeRecord(const CandidateRecord &record)
 {
     std::string out = "{\"code\":" + std::to_string(record.code);
-    out += ",\"local_index\":" + std::to_string(record.localIndex);
-    out += ",\"rows\":" + std::to_string(record.matrix.rows());
-    out += ",\"cols\":" + std::to_string(record.matrix.cols());
-    out += ",\"matrix\":[";
-    for (int r = 0; r < record.matrix.rows(); r++)
-        for (int c = 0; c < record.matrix.cols(); c++) {
-            if (r != 0 || c != 0)
-                out += ",";
-            out += std::to_string(record.matrix.at(r, c));
-        }
-    out += "],\"signature\":[";
-    for (std::size_t i = 0; i < record.signature.size(); i++) {
-        if (i != 0)
-            out += ",";
-        out += std::to_string(record.signature[i]);
-    }
-    out += "],\"analytic_pes\":" + std::to_string(record.analyticPes);
     out += ",\"saturated\":";
     out += record.saturated ? "true" : "false";
     out += ",\"score\":" + json::serializeDouble(record.score);
@@ -278,51 +269,22 @@ parseRecord(const json::Value &body, const ShardRange &range,
         fail("record must be an object");
     CandidateRecord record;
     record.code = intMember(body, "code");
-    record.localIndex = intMember(body, "local_index");
     if (record.code < range.lo || record.code >= range.hi)
         fail("record code " + std::to_string(record.code) +
              " outside the shard range");
     if (position > 0 && record.code <= prev_code)
         fail("record codes must be strictly increasing");
-    if (record.localIndex != std::int64_t(position))
-        fail("record local_index out of sequence");
-
-    int rows = int(intMember(body, "rows"));
-    int cols = int(intMember(body, "cols"));
-    if (rows < 1 || cols < 1 || rows > 4 || cols > 4 || rows != cols)
-        fail("implausible transform shape " + std::to_string(rows) +
-             "x" + std::to_string(cols));
-    const json::Value &cells = member(body, "matrix");
-    if (!cells.isArray() ||
-        cells.array.size() != std::size_t(rows) * std::size_t(cols))
-        fail("matrix must carry rows*cols cells");
-    record.matrix = IntMatrix(rows, cols);
-    std::size_t at = 0;
-    for (int r = 0; r < rows; r++)
-        for (int c = 0; c < cols; c++)
-            record.matrix.at(r, c) = json::toInt64(
-                    cells.array[at++], "dse shard records: matrix cell");
-
-    const json::Value &signature = member(body, "signature");
-    if (!signature.isArray())
-        fail("'signature' must be an array");
-    record.signature.reserve(signature.array.size());
-    for (const json::Value &value : signature.array)
-        record.signature.push_back(json::toInt64(
-                value, "dse shard records: signature value"));
-
-    record.analyticPes = intMember(body, "analytic_pes");
-    if (record.analyticPes < 0)
-        fail("analytic_pes must be >= 0");
     record.saturated = boolMember(body, "saturated");
     record.score = numberMember(body, "score");
     record.examinedAfter = intMember(body, "examined_after");
     record.decodedAfter = intMember(body, "decoded_after");
     record.rejectedAfter = intMember(body, "rejected_after");
     record.duplicatesAfter = intMember(body, "duplicates_after");
-    if (record.examinedAfter < 1 ||
-        record.examinedAfter > range.hi - range.lo ||
-        record.decodedAfter < 1 || record.rejectedAfter < 0 ||
+    // The scan covers its slice code by code, so through a yield it has
+    // examined exactly the codes up to and including that yield's own.
+    if (record.examinedAfter != record.code - range.lo + 1)
+        fail("record examined_after disagrees with its code");
+    if (record.decodedAfter < 1 || record.rejectedAfter < 0 ||
         record.duplicatesAfter < 0)
         fail("implausible record scan snapshot");
     return record;
@@ -443,13 +405,9 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
     ShardRecords out;
     out.config = config;
 
-    dataflow::EnumerateOptions enumerate;
-    enumerate.minCoeff = -config.maxCoeff;
-    enumerate.maxCoeff = config.maxCoeff;
-    enumerate.maxHopLength = config.maxHop;
     // The enumLimit is a *global* property of the merged walk; a shard
     // cannot know where it falls, so it records every local survivor.
-    enumerate.limit = std::numeric_limits<std::size_t>::max();
+    dataflow::EnumerateOptions enumerate = enumerateOptionsFor(config);
     enumerate.threads = threads;
     enumerate.shardIndex = shard_index;
     enumerate.shardCount = shard_count;
@@ -467,17 +425,12 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
             [&](const dataflow::EnumeratedTransform &item) {
                 CandidateRecord record;
                 record.code = item.code;
-                record.localIndex = std::int64_t(out.records.size());
-                record.matrix = item.transform.matrix();
-                record.signature = item.signature;
-                record.analyticPes = std::min(
-                        analyticPeCount(item.transform, bounds),
-                        kMaxExactInt);
                 // maxPes-pruned records are never scored — exactly like
                 // the fused single-process sink. The merge re-derives
-                // the prune from analyticPes.
+                // the prune from the code.
                 if (!(config.maxPes > 0 &&
-                      record.analyticPes > config.maxPes)) {
+                      analyticPeCount(item.transform, bounds) >
+                              config.maxPes)) {
                     auto analytic = cost_model.score(item.transform);
                     record.saturated = analytic.saturated;
                     record.score = analytic.score;
@@ -541,14 +494,20 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     auto enumerate_start = Clock::now();
 
     // The global consuming walk: exactly TransformStream's chunk merge,
-    // with shard files in the chunk role. Dedup against a global
-    // signature set, apply the maxPes prune and the analytic top-K
-    // heap to every global yield, and stop at enumLimit — all in code
-    // order, so the fold is independent of input-file order. The heap is
-    // the same AnalyticTopK exploreDataflows selects through.
+    // with shard files in the chunk role. Re-derive each record's
+    // signature from its code, dedup it globally, apply the maxPes prune
+    // and the analytic top-K heap (exploreDataflows' own AnalyticTopK,
+    // keyed to the code) to every global yield, and stop at enumLimit —
+    // all in code order, so input-file order cannot matter.
+    dataflow::detail::CandidateDecoder decoder(functional,
+                                               enumerateOptionsFor(config));
+    if (decoder.codesTotal() != total)
+        fail("shard code space does not match this spec's");
     const std::size_t analytic_top_k = std::size_t(config.analyticTopK);
-    AnalyticTopK<const CandidateRecord *> top(analytic_top_k);
-    std::set<std::vector<std::int64_t>> signatures;
+    AnalyticTopK<std::int64_t> top(analytic_top_k);
+    // Signature -> the last shard that yielded it. A shard's scan dedups
+    // locally, so a repeat within one shard is a forged record.
+    std::map<std::vector<std::int64_t>, std::int64_t> owners;
     std::int64_t yielded = 0;
     std::int64_t merge_duplicates = 0;
     std::int64_t prior_examined = 0;
@@ -561,11 +520,20 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     std::int64_t last_duplicates = 0;
     bool limited = false;
     for (const ShardRecords &shard : shards) {
+        const std::int64_t shard_index = shard.range.shardIndex;
         for (const CandidateRecord &record : shard.records) {
-            if (!signatures.insert(record.signature).second) {
-                // This shard yielded it, but an earlier shard owns the
-                // signature — the single-process walk would have
-                // counted it a duplicate.
+            if (!decoder.canonical(record.code) ||
+                !decoder.decode(record.code))
+                fail("record code " + std::to_string(record.code) +
+                     " does not decode to an orbit-canonical survivor");
+            auto owner = owners.try_emplace(decoder.signature(), shard_index);
+            if (!owner.second) {
+                if (owner.first->second == shard_index)
+                    fail("record code " + std::to_string(record.code) +
+                         " repeats a signature its own shard yielded");
+                // An earlier shard yielded the signature — the
+                // single-process walk would have counted it a duplicate.
+                owner.first->second = shard_index;
                 merge_duplicates++;
                 continue;
             }
@@ -577,11 +545,13 @@ mergeShardRecords(std::vector<ShardRecords> shards,
             last_duplicates = prior_duplicates + record.duplicatesAfter +
                               merge_duplicates;
             if (config.maxPes > 0 &&
-                record.analyticPes > config.maxPes) {
+                analyticPeCount(
+                        dataflow::SpaceTimeTransform(decoder.matrix()),
+                        bounds) > config.maxPes) {
                 local.prunedEarly++;
             } else {
                 top.offer({record.saturated, record.score, index},
-                          &record);
+                          record.code);
             }
             if (yielded >= config.enumLimit) {
                 limited = true;
@@ -621,12 +591,11 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     std::vector<std::pair<std::size_t, dataflow::SpaceTimeTransform>>
             work;
     for (const auto &entry : top.takeInIndexOrder()) {
-        // The transform constructor re-validates invertibility; a
-        // corrupted-but-checksummed matrix dies here, classified.
+        decoder.decode(entry.payload); // the walk proved it survives
         work.emplace_back(
                 entry.key.index,
                 dataflow::SpaceTimeTransform(
-                        entry.payload->matrix,
+                        decoder.matrix(),
                         "enumerated-" + std::to_string(entry.key.index)));
     }
     // The shard scans did the scoring; the fold scores nothing, so the
@@ -638,9 +607,7 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     // Elaborate the folded survivors through exactly the back half a
     // single-process run uses.
     DseOptions options;
-    options.enumerate.minCoeff = -config.maxCoeff;
-    options.enumerate.maxCoeff = config.maxCoeff;
-    options.enumerate.maxHopLength = config.maxHop;
+    options.enumerate = enumerateOptionsFor(config);
     options.enumerate.limit = std::size_t(config.enumLimit);
     options.topK = std::size_t(config.topK);
     options.threads = eval.threads;

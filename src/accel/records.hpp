@@ -8,22 +8,25 @@
  * orbit-canonical coefficient-code space (the same `total*i/N` split
  * the sharded oracle uses, via EnumerateOptions::{shardIndex,
  * shardCount}) and records every locally-deduplicated survivor: its
- * code, matrix, dedup signature, closed-form analytic score, and the
- * serial-equivalent scan counters through that yield. The merge
- * (`mergeShardRecords`) folds N shard files in code order against a
- * global signature set — exactly the consuming walk TransformStream
- * runs over its chunks, lifted to files — then elaborates the folded
- * survivor set through the same `evaluateAndRank` back half a
- * single-process run uses. The merged ranking and `DseStats` are
- * therefore bit-for-bit what one process scanning the whole space
- * would produce (tests/shard_merge_test.cpp pins this differentially).
+ * code, closed-form analytic score, and the serial-equivalent scan
+ * counters through that yield — not its matrix, signature or PE count,
+ * which are pure functions of the code. The merge (`mergeShardRecords`)
+ * re-derives those through one dataflow::detail::CandidateDecoder as it
+ * folds N shard files in code order against a global signature set —
+ * exactly the consuming walk TransformStream runs over its chunks,
+ * lifted to files — then elaborates the folded survivors through the
+ * same `evaluateAndRank` back half a single-process run uses. The
+ * merged ranking and `DseStats` are therefore bit-for-bit what one
+ * process scanning the whole space would produce
+ * (tests/shard_merge_test.cpp pins this differentially).
  *
  * The on-disk format mirrors serve::snapshot: a `util::json` document
  * carrying a version, a kind tag, and an FNV-1a checksum over the
  * re-serialized payload, so any damaged byte is rejected as a
  * classified FatalError before a single record is admitted. Mixed
- * versions, overlapping or gapped ranges, and shuffled input order are
- * all detected at merge time.
+ * versions, overlapping or gapped ranges, shuffled input order, and a
+ * code that does not decode to an orbit-canonical survivor are all
+ * detected at merge time.
  */
 
 #ifndef STELLAR_ACCEL_RECORDS_HPP
@@ -41,7 +44,7 @@ namespace stellar::accel
 {
 
 /** Format version; a mismatch is a classified load error. */
-inline constexpr int kRecordsVersion = 1;
+inline constexpr int kRecordsVersion = 2;
 
 /**
  * The scan parameters every shard of one sweep must agree on. These
@@ -73,7 +76,8 @@ struct ShardRange
 };
 
 /**
- * One locally-deduplicated survivor of a shard scan. The `*After`
+ * One locally-deduplicated survivor of a shard scan; its shard-local
+ * yield order is its position in ShardRecords::records. The `*After`
  * counters are the serial-equivalent shard-relative scan accounting
  * through this yield (EnumeratedTransform's snapshot fields), which is
  * what lets the merge reproduce a `--enum-limit` stop's stats exactly
@@ -82,13 +86,6 @@ struct ShardRange
 struct CandidateRecord
 {
     std::int64_t code = 0;
-    std::int64_t localIndex = 0; //!< 0-based shard-local yield order
-    IntMatrix matrix;
-    std::vector<std::int64_t> signature;
-
-    /** Exact analytic PE count (the merge re-derives the maxPes prune
-     *  from this, never from a stored verdict). */
-    std::int64_t analyticPes = 0;
 
     /** Closed-form analytic score; unset (0, unsaturated) when the
      *  record was maxPes-pruned and never scored. */
@@ -162,10 +159,12 @@ struct MergeEvalOptions
  * Fold N shard files into the single-process ranking: validate that
  * the shards form an exact partition of the code space under one
  * config (any overlap, gap, duplicate index, or config mismatch is a
- * classified error), replay the global consuming walk (signature
- * dedup, maxPes prune, analytic top-K heap, `enumLimit` stop — in
- * code order, so shuffled input-file order cannot change anything),
- * then elaborate the survivors through `evaluateAndRank`. The
+ * classified error), replay the global consuming walk (re-decode each
+ * code, signature dedup, maxPes prune, analytic top-K heap, `enumLimit`
+ * stop — in code order, so shuffled input-file order cannot change
+ * anything), then elaborate the survivors through `evaluateAndRank`. A
+ * walked code that is not an orbit-canonical survivor, or that repeats
+ * a signature its own shard already yielded, is a classified error. The
  * returned candidates and `stats` match a single-process
  * `exploreDataflows` run over the whole space bit-for-bit (timings
  * excepted — they measure this process's walls).

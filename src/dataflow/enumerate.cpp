@@ -474,17 +474,31 @@ shardChunkBounds(const Geometry &g, const EnumerateOptions &options)
     return out;
 }
 
-} // namespace
-
-struct TransformStream::Impl
+/** What every decode under one (spec, options) pair shares. */
+struct ScanContext
 {
     EnumerateOptions options;
     Geometry g;
     std::vector<func::Recurrence> recurrences;
+    Scanner scanner; //!< serial/decode scratch; references the above
+
+    ScanContext(const func::FunctionalSpec &spec,
+                const EnumerateOptions &opts)
+        : options(opts),
+          g(geometryFor(checkedIndices(spec), opts)),
+          recurrences(spec.recurrences()),
+          scanner(g, recurrences, options)
+    {
+    }
+};
+
+} // namespace
+
+struct TransformStream::Impl : ScanContext
+{
     std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
     std::size_t nextToIssue = 0;
     std::size_t window = 0;
-    Scanner scanner; //!< serial-path scratch
 
     ChunkResult current;
     std::size_t cursor = 0;
@@ -513,11 +527,7 @@ struct TransformStream::Impl
     std::unique_ptr<util::ThreadPool> pool;
 
     Impl(const func::FunctionalSpec &spec, const EnumerateOptions &opts)
-        : options(opts),
-          g(geometryFor(checkedIndices(spec), opts)),
-          recurrences(spec.recurrences()),
-          chunks(shardChunkBounds(g, opts)),
-          scanner(g, recurrences, options)
+        : ScanContext(spec, opts), chunks(shardChunkBounds(g, opts))
     {
         stats.codesTotal = g.total;
         std::size_t threads = options.threads;
@@ -689,7 +699,8 @@ std::vector<SpaceTimeTransform>
 enumerateTransforms(const func::FunctionalSpec &spec,
                     const EnumerateOptions &options, EnumerateStats *stats)
 {
-    if (detail::codeSpaceSize(spec, options) > kMaxMaterializedCodes) {
+    if (geometryFor(checkedIndices(spec), options).total >
+        kMaxMaterializedCodes) {
         fatal("transform enumeration space too large; narrow the "
               "coefficient range");
     }
@@ -746,39 +757,47 @@ enumerateTransformsOracle(const func::FunctionalSpec &spec,
     return found;
 }
 
-bool
-codeIsOrbitCanonical(const func::FunctionalSpec &spec,
-                     const EnumerateOptions &options, std::int64_t code)
+struct CandidateDecoder::Impl : ScanContext
 {
-    Geometry g = geometryFor(checkedIndices(spec),
-                             options);
-    return nextCanonical(g, code) == code;
+    using ScanContext::ScanContext;
+};
+
+CandidateDecoder::CandidateDecoder(const func::FunctionalSpec &spec,
+                                   const EnumerateOptions &options)
+    : impl_(std::make_unique<Impl>(spec, options))
+{
 }
 
-bool
-decodeCandidate(const func::FunctionalSpec &spec,
-                const EnumerateOptions &options, std::int64_t code,
-                IntMatrix *matrix, std::vector<std::int64_t> *signature)
-{
-    Geometry g = geometryFor(checkedIndices(spec),
-                             options);
-    auto recurrences = spec.recurrences();
-    Scanner scanner(g, recurrences, options);
-    if (!scanner.decode(code))
-        return false;
-    if (matrix)
-        *matrix = scanner.materialize();
-    if (signature)
-        *signature = scanner.signature;
-    return true;
-}
+CandidateDecoder::~CandidateDecoder() = default;
 
 std::int64_t
-codeSpaceSize(const func::FunctionalSpec &spec,
-              const EnumerateOptions &options)
+CandidateDecoder::codesTotal() const
 {
-    return geometryFor(checkedIndices(spec), options)
-            .total;
+    return impl_->g.total;
+}
+
+bool
+CandidateDecoder::canonical(std::int64_t code) const
+{
+    return nextCanonical(impl_->g, code) == code;
+}
+
+bool
+CandidateDecoder::decode(std::int64_t code)
+{
+    return impl_->scanner.decode(code);
+}
+
+IntMatrix
+CandidateDecoder::matrix() const
+{
+    return impl_->scanner.materialize();
+}
+
+const std::vector<std::int64_t> &
+CandidateDecoder::signature() const
+{
+    return impl_->scanner.signature;
 }
 
 } // namespace detail

@@ -191,27 +191,36 @@ std::vector<SpaceTimeTransform> enumerateTransformsOracle(
         const func::FunctionalSpec &spec, const EnumerateOptions &options);
 
 /**
- * True when `code` is the canonical representative of its
- * sign/permutation orbit under `options` (always true when orbit
- * canonicalization is inactive for this spec/options combination).
+ * The one decode entry point outside the scan (the shard-records merge,
+ * the fuzz orbit oracle): built once per (spec, options), then each
+ * `decode` runs the scan's own per-candidate filters on one code.
  */
-bool codeIsOrbitCanonical(const func::FunctionalSpec &spec,
-                          const EnumerateOptions &options,
-                          std::int64_t code);
+class CandidateDecoder
+{
+  public:
+    CandidateDecoder(const func::FunctionalSpec &spec,
+                     const EnumerateOptions &options);
+    ~CandidateDecoder();
 
-/**
- * Decode one coefficient code and run the per-candidate filters.
- * Returns true when the code survives; fills `matrix`/`signature` when
- * non-null. Exposed for the fuzz harness's orbit oracle.
- */
-bool decodeCandidate(const func::FunctionalSpec &spec,
-                     const EnumerateOptions &options, std::int64_t code,
-                     IntMatrix *matrix,
-                     std::vector<std::int64_t> *signature);
+    /** range^(n^2), the full code space. */
+    std::int64_t codesTotal() const;
 
-/** range^(n^2) for this spec/options; fatal above the streaming cap. */
-std::int64_t codeSpaceSize(const func::FunctionalSpec &spec,
-                           const EnumerateOptions &options);
+    /** True when `code` is the canonical representative of its
+     *  sign/permutation orbit (always true when orbit canonicalization
+     *  is inactive for this spec/options combination). */
+    bool canonical(std::int64_t code) const;
+
+    /** Decode `code` and run the filters; true when it survives. */
+    bool decode(std::int64_t code);
+
+    /** The last surviving decode's matrix and dedup signature. */
+    IntMatrix matrix() const;
+    const std::vector<std::int64_t> &signature() const;
+
+  private:
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
+};
 
 } // namespace detail
 

@@ -12,6 +12,7 @@
 #include "accel/analytic.hpp"
 #include "accel/pipeline.hpp"
 #include "accel/records.hpp"
+#include "accel/report.hpp"
 #include "core/accelerator.hpp"
 #include "core/spatial_array.hpp"
 #include "dataflow/enumerate.hpp"
@@ -26,6 +27,7 @@
 #include "sparse/matrix.hpp"
 #include "sparse/matrix_market.hpp"
 #include "util/fault_inject.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -324,12 +326,12 @@ evaluateEnumerateInput(Rng &rng, const FuzzOptions &options,
 
     // Orbit completeness, checked against the *unlimited* scan so the
     // canonical-signature set is total, over every code in the space.
-    std::int64_t total =
-            dataflow::detail::codeSpaceSize(functional, eopt);
+    auto full = eopt;
+    full.threads = 1;
+    full.limit = std::size_t(1) << 40;
+    dataflow::detail::CandidateDecoder decoder(functional, full);
+    std::int64_t total = decoder.codesTotal();
     if (eopt.orbitCanonical && total <= 70000) {
-        auto full = eopt;
-        full.threads = 1;
-        full.limit = std::size_t(1) << 40;
         std::set<std::vector<std::int64_t>> canonical;
         dataflow::forEachTransform(
                 functional, full,
@@ -337,16 +339,10 @@ evaluateEnumerateInput(Rng &rng, const FuzzOptions &options,
                     canonical.insert(item.signature);
                     return true;
                 });
-        IntMatrix matrix(0, 0);
-        std::vector<std::int64_t> signature;
         for (std::int64_t code = 0; code < total; code++) {
-            if (dataflow::detail::codeIsOrbitCanonical(functional, full,
-                                                       code))
+            if (decoder.canonical(code) || !decoder.decode(code))
                 continue;
-            if (!dataflow::detail::decodeCandidate(functional, full, code,
-                                                   &matrix, &signature))
-                continue;
-            if (!canonical.count(signature))
+            if (!canonical.count(decoder.signature()))
                 throw std::logic_error(
                         "fuzz property violated: orbit-skipped code " +
                         std::to_string(code) +
@@ -361,11 +357,12 @@ evaluateEnumerateInput(Rng &rng, const FuzzOptions &options,
  * Records domain: scan a tiny sharded sweep into real ShardRecords
  * documents, then attack the codec. A clean round-trip must be exact
  * (serialize(parse(text)) == text) and the full partition must merge;
- * every deterministic corruption mode must be *rejected*; arbitrary
- * byte-level mutilations and merge misuse (a dropped or duplicated
- * shard file) may fail, but only as classified failures — an
- * unclassified throw, or a corruption mode that parses, is the
- * violation. Property breaches throw std::logic_error (deliberately
+ * every deterministic corruption mode must be *rejected*; a forged
+ * record code under a fresh checksum must merge byte-identically or be
+ * rejected; arbitrary byte-level mutilations and merge misuse (a
+ * dropped or duplicated shard file) may fail, but only as classified
+ * failures — an unclassified throw, or a corruption mode that parses,
+ * is the violation. Property breaches throw std::logic_error (deliberately
  * unclassified) so they surface with a seeded repro.
  */
 EvalOutcome
@@ -385,7 +382,7 @@ evaluateRecordsInput(Rng &rng, const FuzzOptions &options,
     std::int64_t shard_count = 1 + std::int64_t(rng.nextBounded(3));
     std::int64_t victim = std::int64_t(
             rng.nextBounded(std::uint64_t(shard_count)));
-    std::uint64_t attack = rng.nextBounded(10);
+    std::uint64_t attack = rng.nextBounded(11);
     input = "records dim " + std::to_string(config.dim) + " hop " +
             std::to_string(config.maxHop) + " shards " +
             std::to_string(shard_count) + " victim " +
@@ -406,13 +403,19 @@ evaluateRecordsInput(Rng &rng, const FuzzOptions &options,
     std::string text = accel::serializeShardRecords(
             shards[std::size_t(victim)]);
 
+    // Merge a set; returns its ranking and stats as comparable text.
     auto mergeAll = [&](std::vector<accel::ShardRecords> set) {
         accel::MergeEvalOptions eval;
         eval.threads = 1;
         accel::DseStats stats;
-        return accel::mergeShardRecords(std::move(set), functional,
-                                        bounds, eval, area_params,
-                                        timing_params, &stats);
+        std::string out;
+        for (const auto &candidate : accel::mergeShardRecords(
+                     std::move(set), functional, bounds, eval,
+                     area_params, timing_params, &stats))
+            out += candidate.transform.matrix().toString() + " " +
+                   std::to_string(candidate.enumIndex) + " " +
+                   util::json::serializeDouble(candidate.score) + "\n";
+        return out + accel::dseStatsReport(stats, false);
     };
 
     if (attack == 0) {
@@ -465,7 +468,34 @@ evaluateRecordsInput(Rng &rng, const FuzzOptions &options,
         accel::parseShardRecords(text); // throws classified or succeeds
         return {};
     }
-    if (attack == 8 && shard_count > 1) {
+    if (attack == 8 && !shards[std::size_t(victim)].records.empty()) {
+        // Forged code: rewrite one record's code (and the examined_after
+        // that pins it) to a code between its predecessor's and its own,
+        // then re-checksum, so the document parses and only the merge's
+        // re-decode can catch it. Every such code but the original is
+        // non-canonical, filtered out, or a repeat of a signature the
+        // shard yielded earlier (else the scan would have recorded it),
+        // so the set merges byte-identically — the code is unchanged or
+        // lies past the enum limit — or is rejected classified.
+        const std::string clean = mergeAll(shards);
+        auto &shard = shards[std::size_t(victim)];
+        std::size_t at = std::size_t(
+                rng.nextBounded(std::uint64_t(shard.records.size())));
+        accel::CandidateRecord &record = shard.records[at];
+        std::int64_t lo = at == 0 ? shard.range.lo
+                                  : shard.records[at - 1].code + 1;
+        record.code = lo + std::int64_t(rng.nextBounded(
+                                   std::uint64_t(record.code - lo + 1)));
+        record.examinedAfter = record.code - shard.range.lo + 1;
+        shard = accel::parseShardRecords(
+                accel::serializeShardRecords(shard));
+        if (mergeAll(shards) != clean)
+            throw std::logic_error(
+                    "fuzz property violated: a forged record code merged "
+                    "to a different ranking");
+        return {};
+    }
+    if (attack == 9 && shard_count > 1) {
         // Merge misuse: drop one shard file — classified rejection.
         auto partial = shards;
         partial.erase(partial.begin() + std::ptrdiff_t(victim));

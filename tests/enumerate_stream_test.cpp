@@ -179,6 +179,7 @@ TEST(EnumerateStream, PullStreamYieldsConsistentItems)
     options.minCoeff = -2;
     options.threads = 2;
     dataflow::TransformStream stream(spec, options);
+    dataflow::detail::CandidateDecoder decoder(spec, options);
     dataflow::EnumeratedTransform item;
     std::int64_t last_code = -1;
     std::size_t count = 0;
@@ -188,14 +189,10 @@ TEST(EnumerateStream, PullStreamYieldsConsistentItems)
         EXPECT_EQ(item.index, count);
         EXPECT_EQ(item.transform.name(),
                   "enumerated-" + std::to_string(count));
-        IntMatrix decoded(0, 0);
-        std::vector<std::int64_t> signature;
-        ASSERT_TRUE(dataflow::detail::decodeCandidate(
-                spec, options, item.code, &decoded, &signature));
-        EXPECT_EQ(decoded, item.transform.matrix());
-        EXPECT_EQ(signature, item.signature);
-        EXPECT_TRUE(dataflow::detail::codeIsOrbitCanonical(spec, options,
-                                                           item.code));
+        ASSERT_TRUE(decoder.decode(item.code));
+        EXPECT_EQ(decoder.matrix(), item.transform.matrix());
+        EXPECT_EQ(decoder.signature(), item.signature);
+        EXPECT_TRUE(decoder.canonical(item.code));
         count++;
     }
     EXPECT_GT(count, 0u);

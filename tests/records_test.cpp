@@ -9,7 +9,7 @@
  * deterministic corruption mode (and a gauntlet of arbitrary
  * mutilations) is rejected as a *classified* failure, never an
  * unclassified throw; and the merge's partition validation refuses
- * incomplete, duplicated, tampered, or mixed-config shard sets.
+ * incomplete, duplicated, tampered, forged, or mixed-config shard sets.
  * The differential ranking contract lives in shard_merge_test.cpp.
  */
 
@@ -18,10 +18,12 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "accel/records.hpp"
+#include "dataflow/enumerate.hpp"
 #include "func/library.hpp"
 #include "model/params.hpp"
 #include "util/failure.hpp"
@@ -90,17 +92,48 @@ TEST(Records, RoundTripIsByteExact)
         EXPECT_EQ(parsed.range.hi, shard.range.hi);
         EXPECT_EQ(parsed.records.size(), shard.records.size());
         for (std::size_t i = 0; i < parsed.records.size(); i++) {
-            EXPECT_EQ(parsed.records[i].code, shard.records[i].code);
-            EXPECT_EQ(parsed.records[i].matrix, shard.records[i].matrix);
-            EXPECT_EQ(parsed.records[i].signature,
-                      shard.records[i].signature);
-            EXPECT_EQ(parsed.records[i].score, shard.records[i].score);
-            EXPECT_EQ(parsed.records[i].saturated,
-                      shard.records[i].saturated);
+            const auto &got = parsed.records[i];
+            const auto &want = shard.records[i];
+            EXPECT_EQ(got.code, want.code);
+            EXPECT_EQ(got.saturated, want.saturated);
+            EXPECT_EQ(got.score, want.score);
+            EXPECT_EQ(got.examinedAfter, want.examinedAfter);
+            EXPECT_EQ(got.decodedAfter, want.decodedAfter);
+            EXPECT_EQ(got.rejectedAfter, want.rejectedAfter);
+            EXPECT_EQ(got.duplicatesAfter, want.duplicatesAfter);
         }
         total_records += std::int64_t(shard.records.size());
     }
     EXPECT_GT(total_records, 0) << "the scan found nothing to record";
+}
+
+TEST(Records, VersionTwoRecordsCarryNoDerivedFields)
+{
+    // Matrix, signature and PE count are pure functions of the code;
+    // the merge re-derives them, so none of them crosses the boundary.
+    auto shards = scanAll(smallConfig(), 1);
+    ASSERT_FALSE(shards[0].records.empty());
+    std::string text = accel::serializeShardRecords(shards[0]);
+    EXPECT_NE(text.find("\"version\":2"), std::string::npos);
+    for (const char *key : {"\"matrix\"", "\"signature\"",
+                            "\"analytic_pes\"", "\"local_index\""})
+        EXPECT_EQ(text.find(key), std::string::npos) << key;
+}
+
+TEST(Records, VersionOneDocumentIsRejectedClassified)
+{
+    auto shards = scanAll(smallConfig(), 1);
+    std::string text = accel::serializeShardRecords(shards[0]);
+    std::size_t at = text.find("\"version\":2");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 11, "\"version\":1");
+    auto failure = expectClassifiedThrow(
+            [&] { accel::parseShardRecords(text); }, "version 1");
+    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+    EXPECT_NE(failure.message.find(
+                      "unsupported version 1 (this build reads version 2)"),
+              std::string::npos)
+            << failure.message;
 }
 
 TEST(Records, EveryCorruptionModeIsRejectedClassified)
@@ -184,6 +217,120 @@ TEST(Records, TamperedRangeIsRejectedEvenWithAFreshChecksum)
             [&] { accel::parseShardRecords(text); }, "overlapping range");
     EXPECT_NE(failure.message.find("shard range"), std::string::npos)
             << failure.message;
+}
+
+TEST(Records, MovedCodeWithoutItsScanSnapshotIsRejected)
+{
+    // The scan covers its slice code by code, so a record's
+    // examined_after is its code's offset in the slice plus one: a code
+    // moved without that counter fails at parse, fresh checksum or not.
+    auto shards = scanAll(smallConfig(), 1);
+    ASSERT_FALSE(shards[0].records.empty());
+    auto &record = shards[0].records.front();
+    ASSERT_GT(record.code, shards[0].range.lo);
+    record.code -= 1;
+    std::string text = accel::serializeShardRecords(shards[0]);
+    auto failure = expectClassifiedThrow(
+            [&] { accel::parseShardRecords(text); }, "moved code");
+    EXPECT_NE(failure.message.find("examined_after"), std::string::npos)
+            << failure.message;
+}
+
+TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
+{
+    // A record carries no matrix: the merge re-derives it from the
+    // code. Rewriting a code (and the examined_after that pins it) under
+    // a fresh checksum parses cleanly, so the merge's re-decode is what
+    // has to refuse a code that is not an orbit-canonical survivor, or
+    // that repeats a signature its own shard already yielded.
+    model::AreaParams area_params;
+    model::TimingParams timing_params;
+    auto config = smallConfig();
+    IntVec bounds = {config.dim, config.dim, config.dim};
+    // Seven shards cut the space inside time-row blocks, so some
+    // signatures are yielded by two shards.
+    auto shards = scanAll(config, 7);
+    dataflow::EnumerateOptions options;
+    options.minCoeff = -config.maxCoeff;
+    options.maxCoeff = config.maxCoeff;
+    options.maxHopLength = config.maxHop;
+    dataflow::detail::CandidateDecoder decoder(func::matmulSpec(),
+                                               options);
+
+    // Move the first record that has a `wanted` code between its
+    // predecessor's and its own onto that code.
+    auto forge = [&](auto wanted) {
+        auto forged = shards;
+        for (auto &shard : forged) {
+            std::int64_t lo = shard.range.lo;
+            for (auto &record : shard.records) {
+                for (std::int64_t code = lo; code < record.code; code++) {
+                    if (!wanted(shard.range.shardIndex, code))
+                        continue;
+                    record.code = code;
+                    record.examinedAfter = code - shard.range.lo + 1;
+                    shard = accel::parseShardRecords(
+                            accel::serializeShardRecords(shard));
+                    return forged;
+                }
+                lo = record.code + 1;
+            }
+        }
+        ADD_FAILURE() << "no code to forge";
+        return forged;
+    };
+    auto expectRefused = [&](std::vector<accel::ShardRecords> set,
+                             const char *what, const char *message) {
+        accel::MergeEvalOptions eval;
+        eval.threads = 1;
+        auto failure = expectClassifiedThrow(
+                [&] {
+                    accel::mergeShardRecords(std::move(set),
+                                             func::matmulSpec(), bounds,
+                                             eval, area_params,
+                                             timing_params, nullptr);
+                },
+                what);
+        EXPECT_EQ(failure.kind, util::FailureKind::UserSpec) << what;
+        EXPECT_NE(failure.message.find(message), std::string::npos)
+                << failure.message;
+    };
+
+    expectRefused(forge([&](std::int64_t, std::int64_t code) {
+                      return !decoder.canonical(code) &&
+                             decoder.decode(code);
+                  }),
+                  "non-canonical survivor", "does not decode");
+    expectRefused(forge([&](std::int64_t, std::int64_t code) {
+                      return decoder.canonical(code) &&
+                             !decoder.decode(code);
+                  }),
+                  "filtered code", "does not decode");
+    expectRefused(forge([&](std::int64_t, std::int64_t code) {
+                      return decoder.canonical(code) &&
+                             decoder.decode(code);
+                  }),
+                  "repeated signature", "repeats a signature");
+
+    // The same repeat of a signature an earlier shard yielded first: the
+    // honest copy is a cross-shard duplicate, the forged second copy
+    // must still be refused.
+    std::vector<std::set<std::vector<std::int64_t>>> earlier(
+            shards.size());
+    for (std::size_t i = 1; i < shards.size(); i++) {
+        earlier[i] = earlier[i - 1];
+        for (const auto &record : shards[i - 1].records) {
+            ASSERT_TRUE(decoder.decode(record.code));
+            earlier[i].insert(decoder.signature());
+        }
+    }
+    expectRefused(forge([&](std::int64_t shard, std::int64_t code) {
+                      return decoder.canonical(code) &&
+                             decoder.decode(code) &&
+                             earlier[std::size_t(shard)].count(
+                                     decoder.signature()) != 0;
+                  }),
+                  "repeated cross-shard signature", "repeats a signature");
 }
 
 TEST(Records, MergeRejectsIncompleteDuplicateAndMixedConfigSets)
