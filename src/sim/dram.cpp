@@ -1,6 +1,7 @@
 #include "sim/dram.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <string>
 
 #include "util/fault_inject.hpp"
@@ -13,8 +14,8 @@ namespace stellar::sim
 std::int64_t
 DramModel::outstanding(std::int64_t now) const
 {
-    while (!inflight_.empty() && inflight_.top() <= now)
-        inflight_.pop();
+    while (!inflight_.empty() && inflight_.front() <= now)
+        inflight_.pop_front();
     return std::int64_t(inflight_.size());
 }
 
@@ -32,34 +33,47 @@ DramModel::issue(std::int64_t now, std::int64_t bytes)
     std::int64_t start = std::max(now, bwCursor_);
     std::int64_t occupancy =
             (charged + config_.bytesPerCycle - 1) / config_.bytesPerCycle;
+    const std::int64_t last = bwCursor_ + config_.latency;
     bwCursor_ = start + occupancy;
     bytesTransferred_ += bytes;
     std::int64_t completion = bwCursor_ + config_.latency;
-    inflight_.push(completion);
+    // The in-flight FIFO and simulateTransfer's pending FIFO are sorted
+    // only because completions strictly increase in issue order.
+    if (completion <= last)
+        panic("DRAM completions must strictly increase in issue order");
+    inflight_.push_back(completion);
     return completion;
 }
 
+namespace
+{
+
+/**
+ * The DMA transfer loop over `count` chunks, read through `chunk_at(i)`
+ * so a stream never materializes its bursts.
+ */
+template <typename ChunkAt>
 TransferResult
-simulateTransfer(const DmaConfig &dma, DramModel &dram,
-                 const std::vector<TransferChunk> &chunks,
-                 std::int64_t start_cycle)
+transfer(const DmaConfig &dma, DramModel &dram, std::size_t count,
+         ChunkAt chunk_at, std::int64_t start_cycle)
 {
     TransferResult result;
     std::int64_t now = start_cycle;
 
-    // Chunks whose pointer load has been issued, keyed by the cycle the
-    // pointer value arrives.
+    // Chunks whose pointer load has been issued, with the cycle the
+    // pointer value arrives. Pointer loads complete in issue order, so
+    // the front is always the earliest arrival.
     struct PendingData
     {
         std::int64_t readyAt;
         std::int64_t bytes;
     };
-    std::vector<PendingData> pending;
+    std::deque<PendingData> pending;
     std::size_t next_chunk = 0;
     std::int64_t last_completion = start_cycle;
 
     auto all_done = [&]() {
-        return next_chunk >= chunks.size() && pending.empty();
+        return next_chunk >= count && pending.empty();
     };
 
     // One watchdog step per simulated wave, batched: a transfer that
@@ -73,7 +87,7 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
         dog.step([&]() {
             return "dram transfer at cycle " + std::to_string(now) +
                    ", chunk " + std::to_string(next_chunk) + "/" +
-                   std::to_string(chunks.size()) + ", " +
+                   std::to_string(count) + ", " +
                    std::to_string(pending.size()) +
                    " pointer loads pending, " +
                    std::to_string(dram.outstanding(now)) +
@@ -85,24 +99,18 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
             if (!dram.canAccept(now))
                 break;
             // Prefer dependent data requests whose pointers have arrived.
-            auto ready = pending.end();
-            for (auto it = pending.begin(); it != pending.end(); ++it)
-                if (it->readyAt <= now &&
-                        (ready == pending.end() ||
-                         it->readyAt < ready->readyAt)) {
-                    ready = it;
-                }
-            if (ready != pending.end()) {
-                std::int64_t done = dram.issue(now, ready->bytes);
+            if (!pending.empty() && pending.front().readyAt <= now) {
+                std::int64_t done = dram.issue(now, pending.front().bytes);
                 last_completion = std::max(last_completion, done);
                 result.requests++;
-                result.bytes += ready->bytes;
-                pending.erase(ready);
+                result.bytes += pending.front().bytes;
+                pending.pop_front();
                 issued_this_cycle++;
                 continue;
             }
-            if (next_chunk < chunks.size()) {
-                if (chunks[next_chunk].pointerChased &&
+            if (next_chunk < count) {
+                const TransferChunk chunk = chunk_at(next_chunk);
+                if (chunk.pointerChased &&
                         std::int64_t(pending.size()) >=
                                 dma.pointerContexts) {
                     // All pointer contexts are occupied: stall until a
@@ -110,7 +118,7 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
                     stalled_on_pointer = true;
                     break;
                 }
-                const auto &chunk = chunks[next_chunk++];
+                next_chunk++;
                 if (chunk.pointerChased) {
                     // Load the 8-byte pointer first; the data request
                     // becomes issueable when the pointer returns.
@@ -139,11 +147,9 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
         if (issued_this_cycle == 0 && !all_done()) {
             std::int64_t skip_to = now;
             if (!pending.empty()) {
-                std::int64_t earliest = pending.front().readyAt;
-                for (const auto &p : pending)
-                    earliest = std::min(earliest, p.readyAt);
-                skip_to = std::max(skip_to, std::min(earliest,
-                                                     last_completion));
+                skip_to = std::max(skip_to,
+                                   std::min(pending.front().readyAt,
+                                            last_completion));
             } else {
                 skip_to = std::max(skip_to, dram.bandwidthCursor());
             }
@@ -158,19 +164,30 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
     return result;
 }
 
+} // namespace
+
+TransferResult
+simulateTransfer(const DmaConfig &dma, DramModel &dram,
+                 const std::vector<TransferChunk> &chunks,
+                 std::int64_t start_cycle)
+{
+    return transfer(
+            dma, dram, chunks.size(),
+            [&](std::size_t i) { return chunks[i]; }, start_cycle);
+}
+
 TransferResult
 simulateStream(const DmaConfig &dma, DramModel &dram, std::int64_t bytes,
                std::int64_t start_cycle)
 {
-    // Split into DRAM-burst-sized chunks.
-    std::vector<TransferChunk> chunks;
-    std::int64_t burst = dram.config().minBurstBytes;
-    for (std::int64_t off = 0; off < bytes; off += burst) {
-        TransferChunk chunk;
-        chunk.bytes = std::min(burst, bytes - off);
-        chunks.push_back(chunk);
-    }
-    return simulateTransfer(dma, dram, chunks, start_cycle);
+    // DRAM-burst-sized chunks; the last one carries the remainder.
+    const std::int64_t burst = dram.config().minBurstBytes;
+    require(burst > 0, "a streamed transfer needs a positive burst size");
+    auto chunk_at = [&](std::size_t i) {
+        return TransferChunk{std::min(burst, bytes - std::int64_t(i) * burst)};
+    };
+    const std::int64_t bursts = bytes > 0 ? (bytes + burst - 1) / burst : 0;
+    return transfer(dma, dram, std::size_t(bursts), chunk_at, start_cycle);
 }
 
 } // namespace stellar::sim

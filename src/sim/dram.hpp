@@ -16,7 +16,7 @@
 #define STELLAR_SIM_DRAM_HPP
 
 #include <cstdint>
-#include <queue>
+#include <deque>
 #include <vector>
 
 namespace stellar::sim
@@ -60,8 +60,8 @@ class DramModel
     DramConfig config_;
     std::int64_t bwCursor_ = 0;
     std::int64_t bytesTransferred_ = 0;
-    mutable std::priority_queue<std::int64_t, std::vector<std::int64_t>,
-                                std::greater<>> inflight_;
+    /** Completion cycles in issue order, which is ascending order. */
+    mutable std::deque<std::int64_t> inflight_;
 };
 
 /** DMA issue-rate configuration. */

@@ -1,8 +1,8 @@
 #include "sim/merger.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string>
+#include <utility>
 
 #include "util/fault_inject.hpp"
 #include "util/logging.hpp"
@@ -14,33 +14,82 @@ namespace stellar::sim
 namespace
 {
 
-/** Output fiber lengths of merging a pair, keyed by row id. */
-std::map<std::int64_t, std::int64_t>
-mergedRowLengths(const sparse::PartialMatrix &a,
-                 const sparse::PartialMatrix &b)
+/** Fiber `f` of `m`, to be copied from an lvalue and moved from an rvalue. */
+const sparse::Fiber &
+fiberAt(const sparse::PartialMatrix &m, std::size_t f)
 {
-    // The merged fiber length is bounded by the sum of the inputs; exact
-    // lengths require coordinate comparison, so merge coordinate sets.
-    std::map<std::int64_t, const sparse::Fiber *> a_rows, b_rows;
-    for (std::size_t f = 0; f < a.rowIds.size(); f++)
-        a_rows[a.rowIds[f]] = &a.rowFibers[f];
-    for (std::size_t f = 0; f < b.rowIds.size(); f++)
-        b_rows[b.rowIds[f]] = &b.rowFibers[f];
+    return m.rowFibers[f];
+}
 
-    std::map<std::int64_t, std::int64_t> lengths;
-    for (const auto &[row, fiber] : a_rows) {
-        auto it = b_rows.find(row);
-        if (it == b_rows.end()) {
-            lengths[row] = fiber->size();
-        } else {
-            lengths[row] =
-                    sparse::mergeFibers(*fiber, *it->second).size();
-        }
+sparse::Fiber &&
+fiberAt(sparse::PartialMatrix &&m, std::size_t f)
+{
+    return std::move(m.rowFibers[f]);
+}
+
+/**
+ * Merge a pair in one walk over their rowIds, which must be strictly
+ * increasing. Each shared row is merged once; a row only one side holds
+ * is copied, or moved out of an rvalue side. The merged fiber sizes are
+ * the per-row lengths the cycle models charge. `pair()` names the pair
+ * in the error an unsorted input raises.
+ */
+template <typename A, typename B, typename Name>
+sparse::PartialMatrix
+mergeWalk(A &&a, B &&b, const Name &pair)
+{
+    sparse::PartialMatrix merged;
+    merged.rowIds.reserve(a.rowIds.size() + b.rowIds.size());
+    merged.rowFibers.reserve(a.rowIds.size() + b.rowIds.size());
+    std::size_t ia = 0, ib = 0;
+    while (ia < a.rowIds.size() || ib < b.rowIds.size()) {
+        bool take_a = ib == b.rowIds.size() ||
+                      (ia < a.rowIds.size() && a.rowIds[ia] <= b.rowIds[ib]);
+        bool take_b = ia == a.rowIds.size() ||
+                      (ib < b.rowIds.size() && b.rowIds[ib] <= a.rowIds[ia]);
+        std::int64_t row = take_a ? a.rowIds[ia] : b.rowIds[ib];
+        if (!merged.rowIds.empty() && row <= merged.rowIds.back())
+            fatal(pair() + ": partial-matrix rowIds must be strictly "
+                  "increasing, but row " + std::to_string(row) +
+                  " follows row " + std::to_string(merged.rowIds.back()));
+        merged.rowIds.push_back(row);
+        if (take_a && take_b)
+            merged.rowFibers.push_back(sparse::mergeFibers(
+                    a.rowFibers[ia++], b.rowFibers[ib++]));
+        else if (take_a)
+            merged.rowFibers.push_back(fiberAt(std::forward<A>(a), ia++));
+        else
+            merged.rowFibers.push_back(fiberAt(std::forward<B>(b), ib++));
     }
-    for (const auto &[row, fiber] : b_rows)
-        if (!a_rows.count(row))
-            lengths[row] = fiber->size();
-    return lengths;
+    return merged;
+}
+
+/**
+ * The cycles a merged pair costs. A row-partitioned merger hands each
+ * row to the least-loaded lane in arrival order (the hardware cannot
+ * sort by length ahead of time); each lane emits one element per cycle
+ * plus a startup bubble per fiber. A flattened merger pops up to
+ * `throughput` elements every cycle regardless of row boundaries
+ * (Fig 19b).
+ */
+MergerResult
+pairCycles(const MergerConfig &config, MergerKind kind,
+           const sparse::PartialMatrix &merged)
+{
+    MergerResult result;
+    result.mergedElements = merged.totalElements();
+    if (kind == MergerKind::Flattened) {
+        result.cycles = (result.mergedElements + config.throughput - 1) /
+                        config.throughput;
+    } else {
+        std::vector<std::int64_t> lanes(std::size_t(config.lanes), 0);
+        for (const auto &fiber : merged.rowFibers)
+            *std::min_element(lanes.begin(), lanes.end()) +=
+                    fiber.size() + config.laneStartup;
+        result.cycles = *std::max_element(lanes.begin(), lanes.end());
+    }
+    result.cycles = std::max<std::int64_t>(result.cycles, 1);
+    return result;
 }
 
 } // namespace
@@ -50,20 +99,8 @@ mergePairRowPartitioned(const MergerConfig &config,
                         const sparse::PartialMatrix &a,
                         const sparse::PartialMatrix &b)
 {
-    auto lengths = mergedRowLengths(a, b);
-    MergerResult result;
-    // Rows are handed to the least-loaded lane in arrival order (the
-    // hardware cannot sort by length ahead of time); each lane emits one
-    // element per cycle plus a startup bubble per fiber.
-    std::vector<std::int64_t> lane_busy(std::size_t(config.lanes), 0);
-    for (const auto &[row, len] : lengths) {
-        result.mergedElements += len;
-        auto lane = std::min_element(lane_busy.begin(), lane_busy.end());
-        *lane += len + config.laneStartup;
-    }
-    result.cycles = *std::max_element(lane_busy.begin(), lane_busy.end());
-    result.cycles = std::max<std::int64_t>(result.cycles, 1);
-    return result;
+    return pairCycles(config, MergerKind::RowPartitioned,
+                      mergePartialPair(a, b));
 }
 
 MergerResult
@@ -71,77 +108,57 @@ mergePairFlattened(const MergerConfig &config,
                    const sparse::PartialMatrix &a,
                    const sparse::PartialMatrix &b)
 {
-    auto lengths = mergedRowLengths(a, b);
-    MergerResult result;
-    for (const auto &[row, len] : lengths)
-        result.mergedElements += len;
-    // The flattened fiber pops up to `throughput` elements every cycle
-    // regardless of row boundaries (Fig 19b).
-    result.cycles = (result.mergedElements + config.throughput - 1) /
-                    config.throughput;
-    result.cycles = std::max<std::int64_t>(result.cycles, 1);
-    return result;
+    return pairCycles(config, MergerKind::Flattened, mergePartialPair(a, b));
 }
 
 sparse::PartialMatrix
 mergePartialPair(const sparse::PartialMatrix &a,
                  const sparse::PartialMatrix &b)
 {
-    std::map<std::int64_t, sparse::Fiber> rows;
-    for (std::size_t f = 0; f < a.rowIds.size(); f++)
-        rows[a.rowIds[f]] = a.rowFibers[f];
-    for (std::size_t f = 0; f < b.rowIds.size(); f++) {
-        auto it = rows.find(b.rowIds[f]);
-        if (it == rows.end())
-            rows[b.rowIds[f]] = b.rowFibers[f];
-        else
-            it->second = sparse::mergeFibers(it->second, b.rowFibers[f]);
-    }
-    sparse::PartialMatrix merged;
-    for (auto &[row, fiber] : rows) {
-        merged.rowIds.push_back(row);
-        merged.rowFibers.push_back(std::move(fiber));
-    }
-    return merged;
+    return mergeWalk(a, b, [] { return std::string("merged pair"); });
 }
 
 MergerResult
 runMergeSchedule(const MergerConfig &config, MergerKind kind,
-                 std::vector<sparse::PartialMatrix> partials)
+                 const std::vector<sparse::PartialMatrix> &partials)
 {
     MergerResult total;
-    if (partials.size() <= 1)
-        return total;
     // SpArch's execution order: merge neighbouring partial matrices
-    // pairwise, round after round, until one remains.
+    // pairwise, round after round, until one remains. Round one reads
+    // the caller's partials; later rounds own theirs and move from them.
+    const std::vector<sparse::PartialMatrix> *current = &partials;
+    std::vector<sparse::PartialMatrix> owned;
     util::WatchdogBatcher dog; // one step per merged pair, batched
-    while (partials.size() > 1) {
+    while (current->size() > 1) {
+        const bool mine = current == &owned;
         std::vector<sparse::PartialMatrix> next;
-        for (std::size_t i = 0; i + 1 < partials.size(); i += 2) {
+        next.reserve((current->size() + 1) / 2);
+        for (std::size_t i = 0; i + 1 < current->size(); i += 2) {
+            auto pair = [&]() {
+                return "merge round with " +
+                       std::to_string(current->size()) +
+                       " partial matrices, pair at " + std::to_string(i);
+            };
             if (util::fault::armed())
                 util::fault::checkpoint("sim.merger.pair");
             dog.step([&]() {
-                return "merge round with " +
-                       std::to_string(partials.size()) +
-                       " partial matrices, pair at " +
-                       std::to_string(i) + ", " +
+                return pair() + ", " +
                        std::to_string(total.mergedElements) +
                        " elements merged so far";
             });
-            MergerResult pair =
-                    kind == MergerKind::RowPartitioned
-                            ? mergePairRowPartitioned(config, partials[i],
-                                                      partials[i + 1])
-                            : mergePairFlattened(config, partials[i],
-                                                 partials[i + 1]);
-            total.cycles += pair.cycles;
-            total.mergedElements += pair.mergedElements;
-            next.push_back(
-                    mergePartialPair(partials[i], partials[i + 1]));
+            sparse::PartialMatrix merged =
+                    mine ? mergeWalk(std::move(owned[i]),
+                                     std::move(owned[i + 1]), pair)
+                         : mergeWalk(partials[i], partials[i + 1], pair);
+            MergerResult cost = pairCycles(config, kind, merged);
+            total.cycles += cost.cycles;
+            total.mergedElements += cost.mergedElements;
+            next.push_back(std::move(merged));
         }
-        if (partials.size() % 2 == 1)
-            next.push_back(std::move(partials.back()));
-        partials = std::move(next);
+        if (current->size() % 2 == 1)
+            next.push_back(mine ? std::move(owned.back()) : partials.back());
+        owned = std::move(next);
+        current = &owned;
     }
     return total;
 }
@@ -175,9 +192,13 @@ runHierarchicalMerge(const MergerConfig &config,
         std::size_t group_end =
                 std::min(group_start + std::size_t(ways), partials.size());
         // Functionally merge the group to get the output element count.
-        sparse::PartialMatrix merged = partials[group_start];
-        for (std::size_t i = group_start + 1; i < group_end; i++)
-            merged = mergePartialPair(merged, partials[i]);
+        sparse::PartialMatrix merged;
+        for (std::size_t i = group_start; i < group_end; i++)
+            merged = mergeWalk(std::move(merged), partials[i], [&]() {
+                return "hierarchical merge group at " +
+                       std::to_string(group_start) + ", partial " +
+                       std::to_string(i);
+            });
         std::int64_t elements = merged.totalElements();
         total.mergedElements += elements;
         total.cycles += (elements + config.throughput - 1) /

@@ -11,7 +11,8 @@
  *
  * Both mergers process the same SpArch-order merge schedule: partial
  * matrices produced by consecutive outer products are merged pairwise in
- * rounds until one matrix remains.
+ * rounds until one matrix remains. Every partial's rowIds must be
+ * strictly increasing; a merge rejects any other order as a FatalError.
  */
 
 #ifndef STELLAR_SIM_MERGER_HPP
@@ -74,7 +75,8 @@ enum class MergerKind { RowPartitioned, Flattened };
  * matrices of one SpGEMM, accumulating cycles and emitted elements.
  */
 MergerResult runMergeSchedule(const MergerConfig &config, MergerKind kind,
-                              std::vector<sparse::PartialMatrix> partials);
+                              const std::vector<sparse::PartialMatrix>
+                                      &partials);
 
 /**
  * SpArch's hierarchical merge tree (Section IV-F): up to `ways` partial

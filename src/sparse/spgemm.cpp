@@ -125,6 +125,8 @@ mergeFibers(const Fiber &a, const Fiber &b)
 {
     invariant(a.sorted() && b.sorted(), "mergeFibers needs sorted inputs");
     Fiber out;
+    out.coords.reserve(a.coords.size() + b.coords.size());
+    out.values.reserve(a.coords.size() + b.coords.size());
     std::size_t ia = 0, ib = 0;
     while (ia < a.coords.size() || ib < b.coords.size()) {
         bool take_a = ib >= b.coords.size() ||

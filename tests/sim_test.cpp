@@ -16,6 +16,7 @@
 #include "sim/scratchpad.hpp"
 #include "sim/systolic.hpp"
 #include "sparse/suitesparse.hpp"
+#include "util/failure.hpp"
 #include "util/rng.hpp"
 
 namespace stellar::sim
@@ -56,6 +57,16 @@ TEST(DramModel, OutstandingCap)
     dram.issue(0, 64);
     EXPECT_FALSE(dram.canAccept(0));
     EXPECT_TRUE(dram.canAccept(10000));
+}
+
+TEST(DramModel, CompletionsStrictlyIncrease)
+{
+    // The in-flight FIFO depends on completions arriving in issue order;
+    // a (nonsensical) negative bandwidth breaks that and must panic.
+    DramConfig config;
+    config.bytesPerCycle = -1;
+    DramModel dram(config);
+    EXPECT_THROW(dram.issue(0, 64), PanicError);
 }
 
 TEST(SimulateStream, BandwidthBound)
@@ -278,6 +289,37 @@ TEST(Merger, PairMergeMatchesFiberMerge)
     EXPECT_EQ(merged.rowFibers[0].coords,
               (std::vector<std::int64_t>{0, 4, 5}));
     EXPECT_EQ(merged.rowFibers[0].values, (std::vector<double>{1, 12, 20}));
+}
+
+TEST(Merger, RejectsUnsortedRowIds)
+{
+    // The merge walks rowIds in order, so a partial whose rows are out of
+    // order or repeated is a classified input error naming the pair.
+    sparse::PartialMatrix sorted, unsorted, repeated;
+    sorted.rowIds = {1, 4};
+    sorted.rowFibers = {sparse::Fiber{{0}, {1.0}}, sparse::Fiber{{2}, {1.0}}};
+    unsorted.rowIds = {3, 2};
+    unsorted.rowFibers = sorted.rowFibers;
+    repeated.rowIds = {5, 5};
+    repeated.rowFibers = sorted.rowFibers;
+    EXPECT_THROW(mergePartialPair(sorted, unsorted), FatalError);
+    EXPECT_THROW(mergePartialPair(repeated, sorted), FatalError);
+    EXPECT_THROW(mergePairFlattened(MergerConfig(), unsorted, sorted),
+                 FatalError);
+    EXPECT_THROW(runHierarchicalMerge(MergerConfig(), {unsorted}, 4),
+                 FatalError);
+    try {
+        runMergeSchedule(MergerConfig(), MergerKind::RowPartitioned,
+                         {sorted, sorted, sorted, unsorted});
+        FAIL() << "an unsorted partial merged";
+    } catch (...) {
+        auto failure = util::classifyException(std::current_exception());
+        EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+        EXPECT_NE(failure.message.find("pair at 2"), std::string::npos)
+                << failure.message;
+        EXPECT_NE(failure.message.find("row 2 follows row 3"),
+                  std::string::npos) << failure.message;
+    }
 }
 
 TEST(Merger, ScheduleReducesToOne)
