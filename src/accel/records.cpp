@@ -1,6 +1,8 @@
 #include "accel/records.hpp"
 
 #include <algorithm>
+#include <any>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -87,6 +89,8 @@ serializeStats(const dataflow::EnumerateStats &stats)
             "{\"codes_total\":" + std::to_string(stats.codesTotal);
     out += ",\"codes_examined\":" + std::to_string(stats.codesExamined);
     out += ",\"orbit_skipped\":" + std::to_string(stats.orbitSkipped);
+    out += ",\"feasibility_skipped\":" +
+           std::to_string(stats.feasibilitySkipped);
     out += ",\"decoded\":" + std::to_string(stats.decoded);
     out += ",\"rejected\":" + std::to_string(stats.rejected);
     out += ",\"duplicates\":" + std::to_string(stats.duplicates);
@@ -240,6 +244,7 @@ parseStats(const json::Value &body, const ShardRange &range)
     stats.codesTotal = intMember(body, "codes_total");
     stats.codesExamined = intMember(body, "codes_examined");
     stats.orbitSkipped = intMember(body, "orbit_skipped");
+    stats.feasibilitySkipped = intMember(body, "feasibility_skipped");
     stats.decoded = intMember(body, "decoded");
     stats.rejected = intMember(body, "rejected");
     stats.duplicates = intMember(body, "duplicates");
@@ -248,12 +253,14 @@ parseStats(const json::Value &body, const ShardRange &range)
         fail("stats codes_total disagrees with the shard range");
     if (stats.codesExamined != range.hi - range.lo)
         fail("stats must cover the whole shard range");
-    if (stats.orbitSkipped < 0 || stats.decoded < 0 ||
-        stats.rejected < 0 || stats.duplicates < 0 || stats.yielded < 0)
+    if (stats.orbitSkipped < 0 || stats.feasibilitySkipped < 0 ||
+        stats.decoded < 0 || stats.rejected < 0 || stats.duplicates < 0 ||
+        stats.yielded < 0)
         fail("negative scan counter");
-    if (stats.codesExamined != stats.orbitSkipped + stats.decoded)
+    if (stats.codesExamined !=
+        stats.orbitSkipped + stats.feasibilitySkipped + stats.decoded)
         fail("scan counters break codesExamined == orbitSkipped + "
-             "decoded");
+             "feasibilitySkipped + decoded");
     if (stats.decoded !=
         stats.rejected + stats.duplicates + stats.yielded)
         fail("scan counters break decoded == rejected + duplicates + "
@@ -412,13 +419,14 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
     enumerate.shardIndex = shard_index;
     enumerate.shardCount = shard_count;
 
-    // Score with the same model and widths the single-process fused
-    // path constructs (DseOptions defaults — renderDse never overrides
-    // them), so recorded scores merge bit-for-bit.
-    DseOptions defaults;
-    AnalyticCostModel cost_model(functional, bounds, defaults.sparsity,
-                                 defaults.dataWidth, defaults.macBits,
-                                 area_params, timing_params);
+    // Score on the scan workers with the same annotators, model and
+    // widths the single-process front half uses (DseOptions defaults —
+    // renderDse never overrides them), so recorded scores merge
+    // bit-for-bit.
+    DseOptions front;
+    front.maxPes = config.maxPes;
+    front.analyticTopK = std::size_t(config.analyticTopK);
+    std::atomic<std::int64_t> score_nanos{0};
 
     dataflow::forEachTransform(
             functional, enumerate,
@@ -428,12 +436,11 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
                 // maxPes-pruned records are never scored — exactly like
                 // the fused single-process sink. The merge re-derives
                 // the prune from the code.
-                if (!(config.maxPes > 0 &&
-                      analyticPeCount(item.transform, bounds) >
-                              config.maxPes)) {
-                    auto analytic = cost_model.score(item.transform);
-                    record.saturated = analytic.saturated;
-                    record.score = analytic.score;
+                const auto &verdict = std::any_cast<const FrontHalfVerdict &>(
+                        item.annotation);
+                if (!verdict.pruned) {
+                    record.saturated = verdict.saturated;
+                    record.score = verdict.score;
                 }
                 record.examinedAfter = item.examinedAfter;
                 record.decodedAfter = item.decodedAfter;
@@ -442,7 +449,9 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
                 out.records.push_back(std::move(record));
                 return true;
             },
-            &out.stats);
+            &out.stats,
+            frontHalfAnnotators(functional, bounds, front, area_params,
+                                timing_params, score_nanos));
 
     out.range.shardIndex = shard_index;
     out.range.shardCount = shard_count;
@@ -503,6 +512,22 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                                                enumerateOptionsFor(config));
     if (decoder.codesTotal() != total)
         fail("shard code space does not match this spec's");
+    // A shard decodes or feasibility-skips exactly the canonical codes
+    // of its range, a closed-form count the file cannot move.
+    for (const ShardRecords &shard : shards) {
+        const std::int64_t canonical =
+                decoder.canonicalBelow(shard.range.hi) -
+                decoder.canonicalBelow(shard.range.lo);
+        if (shard.stats.feasibilitySkipped + shard.stats.decoded !=
+            canonical)
+            fail("shard " + std::to_string(shard.range.shardIndex) +
+                 " counts " +
+                 std::to_string(shard.stats.feasibilitySkipped +
+                                shard.stats.decoded) +
+                 " feasibility-skipped + decoded codes, but its range "
+                 "holds " +
+                 std::to_string(canonical) + " canonical codes");
+    }
     const std::size_t analytic_top_k = std::size_t(config.analyticTopK);
     AnalyticTopK<std::int64_t> top(analytic_top_k);
     // Signature -> the last shard that yielded it. A shard's scan dedups
@@ -511,6 +536,7 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     std::int64_t yielded = 0;
     std::int64_t merge_duplicates = 0;
     std::int64_t prior_examined = 0;
+    std::int64_t prior_feasibility = 0;
     std::int64_t prior_decoded = 0;
     std::int64_t prior_rejected = 0;
     std::int64_t prior_duplicates = 0;
@@ -561,6 +587,7 @@ mergeShardRecords(std::vector<ShardRecords> shards,
         if (limited)
             break;
         prior_examined += shard.range.hi - shard.range.lo;
+        prior_feasibility += shard.stats.feasibilitySkipped;
         prior_decoded += shard.stats.decoded;
         prior_rejected += shard.stats.rejected;
         prior_duplicates += shard.stats.duplicates;
@@ -568,20 +595,31 @@ mergeShardRecords(std::vector<ShardRecords> shards,
 
     local.enumeration.codesTotal = total;
     if (limited) {
+        // The stop fell at a yield: the skips through its code are the
+        // closed-form canonical count, less what the shard decoded.
+        const std::int64_t canonical =
+                decoder.canonicalBelow(last_examined);
+        if (last_decoded > canonical)
+            fail("a record claims " + std::to_string(last_decoded) +
+                 " decoded codes where its range holds " +
+                 std::to_string(canonical) + " canonical codes");
         local.enumeration.codesExamined = last_examined;
+        local.enumeration.orbitSkipped = last_examined - canonical;
+        local.enumeration.feasibilitySkipped = canonical - last_decoded;
         local.enumeration.decoded = last_decoded;
         local.enumeration.rejected = last_rejected;
         local.enumeration.duplicates = last_duplicates;
     } else {
         local.enumeration.codesExamined = prior_examined;
+        local.enumeration.orbitSkipped =
+                prior_examined - prior_feasibility - prior_decoded;
+        local.enumeration.feasibilitySkipped = prior_feasibility;
         local.enumeration.decoded = prior_decoded;
         local.enumeration.rejected = prior_rejected;
         local.enumeration.duplicates = prior_duplicates +
                                        merge_duplicates;
     }
     local.enumeration.yielded = yielded;
-    local.enumeration.orbitSkipped = local.enumeration.codesExamined -
-                                     local.enumeration.decoded;
     local.enumerated = std::size_t(yielded);
     local.orbitSkipped = std::size_t(local.enumeration.orbitSkipped);
     if (top.offered() > analytic_top_k) {

@@ -44,7 +44,7 @@ namespace stellar::accel
 {
 
 /** Format version; a mismatch is a classified load error. */
-inline constexpr int kRecordsVersion = 2;
+inline constexpr int kRecordsVersion = 3;
 
 /**
  * The scan parameters every shard of one sweep must agree on. These
@@ -163,8 +163,10 @@ struct MergeEvalOptions
  * code, signature dedup, maxPes prune, analytic top-K heap, `enumLimit`
  * stop — in code order, so shuffled input-file order cannot change
  * anything), then elaborate the survivors through `evaluateAndRank`. A
- * walked code that is not an orbit-canonical survivor, or that repeats
- * a signature its own shard already yielded, is a classified error. The
+ * walked code that is not an orbit-canonical survivor, a code that
+ * repeats a signature its own shard already yielded, and scan counters
+ * that disagree with the closed-form canonical code count of their
+ * range (CandidateDecoder::canonicalBelow) are classified errors. The
  * returned candidates and `stats` match a single-process
  * `exploreDataflows` run over the whole space bit-for-bit (timings
  * excepted — they measure this process's walls).

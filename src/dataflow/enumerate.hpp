@@ -16,15 +16,20 @@
  * materializing the whole transform vector, so a DSE tier can score
  * candidates as the scan produces them with O(K) live state. Most
  * coefficient codes are sign/permutation-orbit duplicates of a smaller
- * code; the scan rejects those from coefficient structure alone (before
- * decode) and jumps whole non-canonical regions in O(1). See
- * docs/PARALLEL_DSE.md for the byte-identity contract and the orbit
- * argument.
+ * code, and most of the rest fail causality (a test on the time row
+ * alone) or the hop limit (a per-recurrence budget over the spatial
+ * rows). The scan decides all three from coefficient structure, without
+ * decoding, and jumps straight to the next code that passes them; the
+ * skipped codes are counted in closed form. A per-worker annotator
+ * (e.g. a cost model) can process each survivor on the worker that
+ * found it. See docs/PARALLEL_DSE.md for the byte-identity contract and
+ * the orbit and jump arguments.
  */
 
 #ifndef STELLAR_DATAFLOW_ENUMERATE_HPP
 #define STELLAR_DATAFLOW_ENUMERATE_HPP
 
+#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -90,16 +95,25 @@ struct EnumerateOptions
     std::int64_t shardCount = 0;
 };
 
-/** Accounting for one enumeration scan (serial semantics at any thread
- *  count). Invariants: codesExamined == orbitSkipped + decoded and
- *  decoded == rejected + duplicates + yielded. */
+/**
+ * Accounting for one enumeration scan (serial semantics at any thread
+ * count). Invariants: codesExamined == orbitSkipped +
+ * feasibilitySkipped + decoded and decoded == rejected + duplicates +
+ * yielded. Every counter is a function of the code range covered, never
+ * of the chunking: orbitSkipped counts the non-canonical codes of the
+ * range, feasibilitySkipped the canonical codes that fail causality or
+ * the hop limit (both in closed form), and decoded exactly the canonical
+ * codes that pass both, so `rejected` counts only singular matrices.
+ */
 struct EnumerateStats
 {
     std::int64_t codesTotal = 0;    //!< range^(n^2), the full space
     std::int64_t codesExamined = 0; //!< codes covered before the stop
-    std::int64_t orbitSkipped = 0;  //!< skipped without decoding
+    std::int64_t orbitSkipped = 0;  //!< non-canonical, never decoded
+    std::int64_t feasibilitySkipped = 0; //!< canonical but acausal or
+                                         //!< over the hop limit
     std::int64_t decoded = 0;       //!< decoded and filtered
-    std::int64_t rejected = 0;      //!< failed invertibility/causality/hops
+    std::int64_t rejected = 0;      //!< failed invertibility
     std::int64_t duplicates = 0;    //!< filtered by signature dedup
     std::int64_t yielded = 0;       //!< survivors produced
 };
@@ -116,15 +130,35 @@ struct EnumeratedTransform
      * Serial-equivalent scan accounting through this survivor's code
      * (range-relative when sharded). A consumer that stops at this
      * yield — or a merge tool folding shard record files — can
-     * reconstruct exactly the stats the serial scan would report here.
-     * Invariant: examinedAfter == decodedAfter + orbit-skipped codes
-     * and decodedAfter == rejectedAfter + duplicatesAfter + yields.
+     * reconstruct exactly the stats the serial scan would report here;
+     * the two skip counts through the code follow from
+     * CandidateDecoder::canonicalBelow. Invariant: examinedAfter ==
+     * decodedAfter + orbit- and feasibility-skipped codes and
+     * decodedAfter == rejectedAfter + duplicatesAfter + yields.
      */
     std::int64_t examinedAfter = 0;
     std::int64_t decodedAfter = 0;
     std::int64_t rejectedAfter = 0;
     std::int64_t duplicatesAfter = 0;
+
+    /** What the stream's annotator returned for this survivor (empty
+     *  without an annotator). */
+    std::any annotation;
 };
+
+/**
+ * Per-survivor work run on the scan worker that found the survivor,
+ * before the in-order merge: the returned value rides along in
+ * EnumeratedTransform::annotation. It must be a pure function of the
+ * transform: it also runs for chunk-local survivors the merge later
+ * drops as duplicates or past `limit`. One annotator serves one worker
+ * at a time, so it may keep state that is not thread-safe.
+ */
+using Annotator = std::function<std::any(const SpaceTimeTransform &)>;
+
+/** Builds one Annotator per scan worker; called on the worker threads,
+ *  so it must be safe to call concurrently. */
+using AnnotatorFactory = std::function<Annotator()>;
 
 /**
  * Pull-style streaming enumerator. `next` yields survivors in code
@@ -136,7 +170,8 @@ class TransformStream
 {
   public:
     TransformStream(const func::FunctionalSpec &spec,
-                    const EnumerateOptions &options);
+                    const EnumerateOptions &options,
+                    AnnotatorFactory annotators = {});
     ~TransformStream();
     TransformStream(TransformStream &&) noexcept;
     TransformStream &operator=(TransformStream &&) noexcept;
@@ -165,7 +200,8 @@ using TransformSink = std::function<bool(const EnumeratedTransform &)>;
 void forEachTransform(const func::FunctionalSpec &spec,
                       const EnumerateOptions &options,
                       const TransformSink &sink,
-                      EnumerateStats *stats = nullptr);
+                      EnumerateStats *stats = nullptr,
+                      AnnotatorFactory annotators = {});
 
 /**
  * Enumerate causal, invertible space-time transforms for a functional
@@ -209,6 +245,10 @@ class CandidateDecoder
      *  sign/permutation orbit (always true when orbit canonicalization
      *  is inactive for this spec/options combination). */
     bool canonical(std::int64_t code) const;
+
+    /** The number of canonical codes in [0, code), in closed form
+     *  (`code` itself when orbit canonicalization is inactive). */
+    std::int64_t canonicalBelow(std::int64_t code) const;
 
     /** Decode `code` and run the filters; true when it survives. */
     bool decode(std::int64_t code);

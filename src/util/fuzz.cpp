@@ -244,7 +244,8 @@ evaluateTransformInput(Rng &rng, const FuzzOptions &options,
  * from 0 to 2^40, broadcast and orbit toggles, every thread count)
  * against two oracles. First, the streamed scan must be byte-identical
  * to the pre-streaming serial oracle — names, matrices, and its own
- * stats accounting. Second, the orbit-canonicalization completeness
+ * stats accounting (codesExamined == orbitSkipped + feasibilitySkipped +
+ * decoded). Second, the orbit-canonicalization completeness
  * property: every code the scan skips as non-canonical that *would*
  * pass the filters must decode to a signature some retained canonical
  * representative already yielded — i.e. skipping it lost nothing.
@@ -310,7 +311,10 @@ evaluateEnumerateInput(Rng &rng, const FuzzOptions &options,
                     ") differs from the oracle's (" + oracle[i].name() +
                     ")");
     }
-    if (stats.codesExamined != stats.orbitSkipped + stats.decoded ||
+    if (stats.codesExamined != stats.orbitSkipped +
+                                       stats.feasibilitySkipped +
+                                       stats.decoded ||
+        stats.feasibilitySkipped < 0 ||
         stats.decoded !=
                 stats.rejected + stats.duplicates + stats.yielded ||
         stats.yielded != std::int64_t(streamed.size()))
@@ -318,7 +322,9 @@ evaluateEnumerateInput(Rng &rng, const FuzzOptions &options,
                 "fuzz property violated: enumeration stats do not "
                 "account for the scan (examined " +
                 std::to_string(stats.codesExamined) + ", orbit-skipped " +
-                std::to_string(stats.orbitSkipped) + ", decoded " +
+                std::to_string(stats.orbitSkipped) +
+                ", feasibility-skipped " +
+                std::to_string(stats.feasibilitySkipped) + ", decoded " +
                 std::to_string(stats.decoded) + ", rejected " +
                 std::to_string(stats.rejected) + ", duplicates " +
                 std::to_string(stats.duplicates) + ", yielded " +

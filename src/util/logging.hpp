@@ -51,9 +51,26 @@ require(bool cond, const std::string &msg)
         fatal(msg);
 }
 
+/** The literal-message form: no std::string is built unless the
+ *  condition fails, which keeps checks in hot accessors free. */
+inline void
+require(bool cond, const char *msg)
+{
+    if (!cond)
+        fatal(msg);
+}
+
 /** Assert an internal invariant; throws PanicError when violated. */
 inline void
 invariant(bool cond, const std::string &msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
+/** The literal-message form of invariant (see require). */
+inline void
+invariant(bool cond, const char *msg)
 {
     if (!cond)
         panic(msg);

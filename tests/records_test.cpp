@@ -107,31 +107,62 @@ TEST(Records, RoundTripIsByteExact)
     EXPECT_GT(total_records, 0) << "the scan found nothing to record";
 }
 
-TEST(Records, VersionTwoRecordsCarryNoDerivedFields)
+TEST(Records, VersionThreeRecordsCarryNoDerivedFields)
 {
-    // Matrix, signature and PE count are pure functions of the code;
-    // the merge re-derives them, so none of them crosses the boundary.
+    // Matrix, signature and PE count are pure functions of the code, and
+    // so are the skip counts through a record (canonicalBelow); the
+    // merge re-derives them, so none of them crosses the boundary. The
+    // shard-level feasibility_skipped is the one new field.
     auto shards = scanAll(smallConfig(), 1);
     ASSERT_FALSE(shards[0].records.empty());
     std::string text = accel::serializeShardRecords(shards[0]);
-    EXPECT_NE(text.find("\"version\":2"), std::string::npos);
-    for (const char *key : {"\"matrix\"", "\"signature\"",
-                            "\"analytic_pes\"", "\"local_index\""})
+    EXPECT_NE(text.find("\"version\":3"), std::string::npos);
+    for (const char *key :
+         {"\"matrix\"", "\"signature\"", "\"analytic_pes\"",
+          "\"local_index\"", "\"feasibility_skipped_after\""})
         EXPECT_EQ(text.find(key), std::string::npos) << key;
+    EXPECT_EQ(text.find("\"feasibility_skipped\""),
+              text.rfind("\"feasibility_skipped\""));
+    EXPECT_NE(text.find("\"feasibility_skipped\""), std::string::npos);
+}
+
+/** Rewrite the version field of a serialized document. */
+std::string
+withVersion(std::string text, int version)
+{
+    std::size_t at = text.find("\"version\":3");
+    EXPECT_NE(at, std::string::npos);
+    if (at != std::string::npos)
+        text.replace(at, 11, "\"version\":" + std::to_string(version));
+    return text;
 }
 
 TEST(Records, VersionOneDocumentIsRejectedClassified)
 {
     auto shards = scanAll(smallConfig(), 1);
-    std::string text = accel::serializeShardRecords(shards[0]);
-    std::size_t at = text.find("\"version\":2");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, 11, "\"version\":1");
+    std::string text =
+            withVersion(accel::serializeShardRecords(shards[0]), 1);
     auto failure = expectClassifiedThrow(
             [&] { accel::parseShardRecords(text); }, "version 1");
     EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
     EXPECT_NE(failure.message.find(
-                      "unsupported version 1 (this build reads version 2)"),
+                      "unsupported version 1 (this build reads version 3)"),
+              std::string::npos)
+            << failure.message;
+}
+
+// Version 2 counted every canonical code as decoded; its `decoded` and
+// `rejected` mean something else, so a v2 file must not fold in.
+TEST(Records, VersionTwoDocumentIsRejectedClassified)
+{
+    auto shards = scanAll(smallConfig(), 1);
+    std::string text =
+            withVersion(accel::serializeShardRecords(shards[0]), 2);
+    auto failure = expectClassifiedThrow(
+            [&] { accel::parseShardRecords(text); }, "version 2");
+    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+    EXPECT_NE(failure.message.find(
+                      "unsupported version 2 (this build reads version 3)"),
               std::string::npos)
             << failure.message;
 }
@@ -216,6 +247,53 @@ TEST(Records, TamperedRangeIsRejectedEvenWithAFreshChecksum)
     auto failure = expectClassifiedThrow(
             [&] { accel::parseShardRecords(text); }, "overlapping range");
     EXPECT_NE(failure.message.find("shard range"), std::string::npos)
+            << failure.message;
+}
+
+TEST(Records, FeasibilitySkippedBreakingTheInvariantIsRejected)
+{
+    // A re-serialized shard carries a fresh checksum, so the parse-time
+    // counter invariant is what must catch a moved feasibility count.
+    auto shards = scanAll(smallConfig(), 2);
+    auto tampered = shards[1];
+    tampered.stats.feasibilitySkipped += 1;
+    std::string text = accel::serializeShardRecords(tampered);
+    auto failure = expectClassifiedThrow(
+            [&] { accel::parseShardRecords(text); }, "feasibility count");
+    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+    EXPECT_NE(failure.message.find("feasibilitySkipped"), std::string::npos)
+            << failure.message;
+}
+
+TEST(Records, DecodedBeyondTheCanonicalCountIsRejected)
+{
+    // Claim more decoded codes than the range holds canonical ones, with
+    // every parse-time invariant kept and a fresh checksum: only the
+    // merge's closed-form canonical count can refuse it.
+    model::AreaParams area_params;
+    model::TimingParams timing_params;
+    auto config = smallConfig();
+    IntVec bounds = {config.dim, config.dim, config.dim};
+    auto shards = scanAll(config, 2);
+    auto &stats = shards[1].stats;
+    const std::int64_t extra = stats.feasibilitySkipped + 1;
+    stats.decoded += extra;
+    stats.rejected += extra;
+    stats.feasibilitySkipped = 0;
+    stats.orbitSkipped -= 1;
+    shards[1] = accel::parseShardRecords(
+            accel::serializeShardRecords(shards[1]));
+    accel::MergeEvalOptions eval;
+    eval.threads = 1;
+    auto failure = expectClassifiedThrow(
+            [&] {
+                accel::mergeShardRecords(shards, func::matmulSpec(), bounds,
+                                         eval, area_params, timing_params,
+                                         nullptr);
+            },
+            "decoded beyond canonical");
+    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+    EXPECT_NE(failure.message.find("canonical codes"), std::string::npos)
             << failure.message;
 }
 
