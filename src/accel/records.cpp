@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <any>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "accel/analytic.hpp"
@@ -23,8 +27,6 @@ namespace stellar::accel
 namespace
 {
 
-namespace json = util::json;
-
 using Clock = std::chrono::steady_clock;
 
 [[noreturn]] void
@@ -33,8 +35,10 @@ fail(const std::string &what)
     throw FatalError("dse shard records: " + what);
 }
 
+constexpr std::size_t kChecksumDigits = 16;
+
 std::string
-checksumHex(const std::string &payload)
+checksumHex(std::string_view payload)
 {
     char buffer[24];
     std::snprintf(buffer, sizeof(buffer), "%016llx",
@@ -55,129 +59,233 @@ enumerateOptionsFor(const ShardConfig &config)
     return enumerate;
 }
 
-std::string
-serializeConfig(const ShardConfig &config)
+// The file grammar. A records document is exactly the bytes
+// serializeShardRecords writes, with no whitespace anywhere:
+//
+//   {"version":N,"kind":"stellar-dse-shard","checksum":"<16 hex>",
+//    "payload":{"config":C,"range":R,"stats":S,"records":[E,...]}}
+//
+// C, R, S and each record E are flat objects whose keys come in the
+// order the visitFields overloads below list. Those overloads are the
+// one description of each section: the writer and the reader both walk
+// them, so the two cannot drift.
+
+template <typename T, typename Section>
+concept SectionOf = std::same_as<std::remove_const_t<Section>, T>;
+
+template <typename Config, typename Visit>
+    requires SectionOf<ShardConfig, Config>
+void
+visitFields(Config &config, Visit &&visit)
 {
-    std::string out = "{\"dim\":" + std::to_string(config.dim);
-    out += ",\"max_hop\":" + std::to_string(config.maxHop);
-    out += ",\"max_coeff\":" + std::to_string(config.maxCoeff);
-    out += ",\"top_k\":" + std::to_string(config.topK);
-    out += ",\"analytic_top_k\":" + std::to_string(config.analyticTopK);
-    out += ",\"enum_limit\":" + std::to_string(config.enumLimit);
-    out += ",\"max_pes\":" + std::to_string(config.maxPes);
-    out += "}";
-    return out;
+    visit("dim", config.dim);
+    visit("max_hop", config.maxHop);
+    visit("max_coeff", config.maxCoeff);
+    visit("top_k", config.topK);
+    visit("analytic_top_k", config.analyticTopK);
+    visit("enum_limit", config.enumLimit);
+    visit("max_pes", config.maxPes);
 }
 
-std::string
-serializeRange(const ShardRange &range)
+template <typename Range, typename Visit>
+    requires SectionOf<ShardRange, Range>
+void
+visitFields(Range &range, Visit &&visit)
 {
-    std::string out =
-            "{\"shard_index\":" + std::to_string(range.shardIndex);
-    out += ",\"shard_count\":" + std::to_string(range.shardCount);
-    out += ",\"lo\":" + std::to_string(range.lo);
-    out += ",\"hi\":" + std::to_string(range.hi);
-    out += ",\"codes_total\":" + std::to_string(range.codesTotal);
-    out += "}";
-    return out;
+    visit("shard_index", range.shardIndex);
+    visit("shard_count", range.shardCount);
+    visit("lo", range.lo);
+    visit("hi", range.hi);
+    visit("codes_total", range.codesTotal);
 }
 
-std::string
-serializeStats(const dataflow::EnumerateStats &stats)
+template <typename Stats, typename Visit>
+    requires SectionOf<dataflow::EnumerateStats, Stats>
+void
+visitFields(Stats &stats, Visit &&visit)
 {
-    std::string out =
-            "{\"codes_total\":" + std::to_string(stats.codesTotal);
-    out += ",\"codes_examined\":" + std::to_string(stats.codesExamined);
-    out += ",\"orbit_skipped\":" + std::to_string(stats.orbitSkipped);
-    out += ",\"feasibility_skipped\":" +
-           std::to_string(stats.feasibilitySkipped);
-    out += ",\"decoded\":" + std::to_string(stats.decoded);
-    out += ",\"rejected\":" + std::to_string(stats.rejected);
-    out += ",\"duplicates\":" + std::to_string(stats.duplicates);
-    out += ",\"yielded\":" + std::to_string(stats.yielded);
-    out += "}";
-    return out;
+    visit("codes_total", stats.codesTotal);
+    visit("codes_examined", stats.codesExamined);
+    visit("orbit_skipped", stats.orbitSkipped);
+    visit("feasibility_skipped", stats.feasibilitySkipped);
+    visit("decoded", stats.decoded);
+    visit("rejected", stats.rejected);
+    visit("duplicates", stats.duplicates);
+    visit("yielded", stats.yielded);
 }
 
-std::string
-serializeRecord(const CandidateRecord &record)
+template <typename Record, typename Visit>
+    requires SectionOf<CandidateRecord, Record>
+void
+visitFields(Record &record, Visit &&visit)
 {
-    std::string out = "{\"code\":" + std::to_string(record.code);
-    out += ",\"saturated\":";
-    out += record.saturated ? "true" : "false";
-    out += ",\"score\":" + json::serializeDouble(record.score);
-    out += ",\"examined_after\":" + std::to_string(record.examinedAfter);
-    out += ",\"decoded_after\":" + std::to_string(record.decodedAfter);
-    out += ",\"rejected_after\":" + std::to_string(record.rejectedAfter);
-    out += ",\"duplicates_after\":" +
-           std::to_string(record.duplicatesAfter);
-    out += "}";
-    return out;
+    visit("code", record.code);
+    visit("saturated", record.saturated);
+    visit("score", record.score);
+    visit("examined_after", record.examinedAfter);
+    visit("decoded_after", record.decodedAfter);
+    visit("rejected_after", record.rejectedAfter);
+    visit("duplicates_after", record.duplicatesAfter);
 }
 
-std::string
-serializePayload(const ShardRecords &shard)
+void
+appendInt(std::string &out, std::int64_t value)
 {
-    std::string out = "{\"config\":" + serializeConfig(shard.config);
-    out += ",\"range\":" + serializeRange(shard.range);
-    out += ",\"stats\":" + serializeStats(shard.stats);
-    out += ",\"records\":[";
-    for (std::size_t i = 0; i < shard.records.size(); i++) {
-        if (i != 0)
-            out += ",";
-        out += serializeRecord(shard.records[i]);
+    char buffer[24];
+    char *end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+    out.append(buffer, end);
+}
+
+/** Append one section as a flat object in visitFields order. */
+template <typename Section>
+void
+writeSection(std::string &out, const Section &section)
+{
+    char open = '{';
+    visitFields(section, [&](std::string_view key, const auto &value) {
+        out += open;
+        open = ',';
+        out += '"';
+        out += key;
+        out += "\":";
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, bool>)
+            out += value ? "true" : "false";
+        else if constexpr (std::is_same_v<T, double>)
+            out += util::json::serializeDouble(value);
+        else
+            appendInt(out, value);
+    });
+    out += '}';
+}
+
+/**
+ * The strict reader: a cursor over one span of the document that
+ * accepts only the spelling the writer produces. Diagnostics carry the
+ * byte offset in the whole document.
+ */
+class Cursor
+{
+  public:
+    Cursor(std::string_view text, std::size_t base)
+        : text_(text), base_(base)
+    {
     }
-    out += "]}";
-    return out;
+
+    std::size_t offset() const { return base_ + pos_; }
+    bool done() const { return pos_ == text_.size(); }
+
+    /** Step over `literal` if the text continues with it. */
+    bool
+    consume(std::string_view literal)
+    {
+        if (!text_.substr(pos_).starts_with(literal))
+            return false;
+        pos_ += literal.size();
+        return true;
+    }
+
+    /** The next `n` bytes (fewer at the end of the text). */
+    std::string_view
+    take(std::size_t n)
+    {
+        std::string_view span = text_.substr(pos_, n);
+        pos_ += span.size();
+        return span;
+    }
+
+    void
+    expect(std::string_view literal)
+    {
+        if (!consume(literal))
+            fail("expected '" + std::string(literal) + "'");
+    }
+
+    /** `{"key":` for a section's first field, `,"key":` for the rest. */
+    void
+    key(char open, std::string_view key)
+    {
+        if (!consume({&open, 1}) || !consume("\"") || !consume(key) ||
+            !consume("\":"))
+            fail(std::string("expected '") + open + "\"" +
+                 std::string(key) + "\":'");
+    }
+
+    /** An integer as std::to_chars spells it: no '+', no leading
+     *  zeros, no "-0"; false (cursor unmoved) otherwise. */
+    bool
+    integer(std::int64_t &value)
+    {
+        const char *first = text_.data() + pos_;
+        const char *last = text_.data() + text_.size();
+        auto [end, error] = std::from_chars(first, last, value);
+        if (error != std::errc())
+            return false;
+        const char *digits = first + (*first == '-');
+        if (*digits == '0' && (end - digits > 1 || digits != first))
+            return false;
+        pos_ = std::size_t(end - text_.data());
+        return true;
+    }
+
+    void
+    read(std::int64_t &value)
+    {
+        if (!integer(value))
+            fail("expected an integer");
+    }
+
+    void
+    read(double &value)
+    {
+        const char *first = text_.data() + pos_;
+        auto [end, error] = std::from_chars(
+                first, text_.data() + text_.size(), value);
+        if (error != std::errc() || !std::isfinite(value))
+            fail("expected a finite number");
+        pos_ = std::size_t(end - text_.data());
+    }
+
+    void
+    read(bool &value)
+    {
+        if (consume("true"))
+            value = true;
+        else if (consume("false"))
+            value = false;
+        else
+            fail("expected true or false");
+    }
+
+    [[noreturn]] void
+    fail(const std::string &what) const
+    {
+        accel::fail(what + " at byte " + std::to_string(offset()));
+    }
+
+  private:
+    std::string_view text_;
+    std::size_t base_;
+    std::size_t pos_ = 0;
+};
+
+/** Read one section written by writeSection, in visitFields order. */
+template <typename Section>
+void
+readSection(Cursor &in, Section &section)
+{
+    char open = '{';
+    visitFields(section, [&](std::string_view key, auto &value) {
+        in.key(open, key);
+        open = ',';
+        in.read(value);
+    });
+    in.expect("}");
 }
 
-const json::Value &
-member(const json::Value &object, const std::string &key)
+void
+checkConfig(const ShardConfig &config)
 {
-    const json::Value *value = object.find(key);
-    if (value == nullptr)
-        fail("missing field '" + key + "'");
-    return *value;
-}
-
-std::int64_t
-intMember(const json::Value &object, const std::string &key)
-{
-    return json::toInt64(member(object, key),
-                         "dse shard records: '" + key + "'");
-}
-
-double
-numberMember(const json::Value &object, const std::string &key)
-{
-    const json::Value &value = member(object, key);
-    if (!value.isNumber())
-        fail("'" + key + "' must be a number");
-    return value.number;
-}
-
-bool
-boolMember(const json::Value &object, const std::string &key)
-{
-    const json::Value &value = member(object, key);
-    if (!value.isBool())
-        fail("'" + key + "' must be a boolean");
-    return value.boolean;
-}
-
-ShardConfig
-parseConfig(const json::Value &body)
-{
-    if (!body.isObject())
-        fail("'config' must be an object");
-    ShardConfig config;
-    config.dim = intMember(body, "dim");
-    config.maxHop = intMember(body, "max_hop");
-    config.maxCoeff = intMember(body, "max_coeff");
-    config.topK = intMember(body, "top_k");
-    config.analyticTopK = intMember(body, "analytic_top_k");
-    config.enumLimit = intMember(body, "enum_limit");
-    config.maxPes = intMember(body, "max_pes");
     if (config.dim < 1 || config.dim > 4096)
         fail("implausible dim " + std::to_string(config.dim));
     if (config.maxHop < 0)
@@ -193,20 +301,11 @@ parseConfig(const json::Value &body)
         fail("enum_limit must be >= 1");
     if (config.maxPes < 0)
         fail("max_pes must be >= 0");
-    return config;
 }
 
-ShardRange
-parseRange(const json::Value &body)
+void
+checkRange(const ShardRange &range)
 {
-    if (!body.isObject())
-        fail("'range' must be an object");
-    ShardRange range;
-    range.shardIndex = intMember(body, "shard_index");
-    range.shardCount = intMember(body, "shard_count");
-    range.lo = intMember(body, "lo");
-    range.hi = intMember(body, "hi");
-    range.codesTotal = intMember(body, "codes_total");
     if (range.shardCount < 1)
         fail("shard_count must be >= 1");
     if (range.shardIndex < 0 || range.shardIndex >= range.shardCount)
@@ -232,23 +331,11 @@ parseRange(const json::Value &body)
              ") (shard " + std::to_string(range.shardIndex) + "/" +
              std::to_string(range.shardCount) + " owns [" +
              std::to_string(lo) + ", " + std::to_string(hi) + "))");
-    return range;
 }
 
-dataflow::EnumerateStats
-parseStats(const json::Value &body, const ShardRange &range)
+void
+checkStats(const dataflow::EnumerateStats &stats, const ShardRange &range)
 {
-    if (!body.isObject())
-        fail("'stats' must be an object");
-    dataflow::EnumerateStats stats;
-    stats.codesTotal = intMember(body, "codes_total");
-    stats.codesExamined = intMember(body, "codes_examined");
-    stats.orbitSkipped = intMember(body, "orbit_skipped");
-    stats.feasibilitySkipped = intMember(body, "feasibility_skipped");
-    stats.decoded = intMember(body, "decoded");
-    stats.rejected = intMember(body, "rejected");
-    stats.duplicates = intMember(body, "duplicates");
-    stats.yielded = intMember(body, "yielded");
     if (stats.codesTotal != range.codesTotal)
         fail("stats codes_total disagrees with the shard range");
     if (stats.codesExamined != range.hi - range.lo)
@@ -265,28 +352,17 @@ parseStats(const json::Value &body, const ShardRange &range)
         stats.rejected + stats.duplicates + stats.yielded)
         fail("scan counters break decoded == rejected + duplicates + "
              "yielded");
-    return stats;
 }
 
-CandidateRecord
-parseRecord(const json::Value &body, const ShardRange &range,
-            std::size_t position, std::int64_t prev_code)
+void
+checkRecord(const CandidateRecord &record, const ShardRange &range,
+            std::int64_t prev_code)
 {
-    if (!body.isObject())
-        fail("record must be an object");
-    CandidateRecord record;
-    record.code = intMember(body, "code");
     if (record.code < range.lo || record.code >= range.hi)
         fail("record code " + std::to_string(record.code) +
              " outside the shard range");
-    if (position > 0 && record.code <= prev_code)
+    if (record.code <= prev_code)
         fail("record codes must be strictly increasing");
-    record.saturated = boolMember(body, "saturated");
-    record.score = numberMember(body, "score");
-    record.examinedAfter = intMember(body, "examined_after");
-    record.decodedAfter = intMember(body, "decoded_after");
-    record.rejectedAfter = intMember(body, "rejected_after");
-    record.duplicatesAfter = intMember(body, "duplicates_after");
     // The scan covers its slice code by code, so through a yield it has
     // examined exactly the codes up to and including that yield's own.
     if (record.examinedAfter != record.code - range.lo + 1)
@@ -294,8 +370,17 @@ parseRecord(const json::Value &body, const ShardRange &range,
     if (record.decodedAfter < 1 || record.rejectedAfter < 0 ||
         record.duplicatesAfter < 0)
         fail("implausible record scan snapshot");
-    return record;
 }
+
+// The literal spans of the grammar that are not a section's fields.
+constexpr std::string_view kVersionHead = "{\"version\":";
+constexpr std::string_view kChecksumHead =
+        ",\"kind\":\"stellar-dse-shard\",\"checksum\":\"";
+constexpr std::string_view kPayloadHead = "\",\"payload\":";
+constexpr std::string_view kConfigHead = "{\"config\":";
+constexpr std::string_view kRangeHead = ",\"range\":";
+constexpr std::string_view kStatsHead = ",\"stats\":";
+constexpr std::string_view kRecordsHead = ",\"records\":[";
 
 } // namespace
 
@@ -311,59 +396,100 @@ operator==(const ShardConfig &a, const ShardConfig &b)
 std::string
 serializeShardRecords(const ShardRecords &shard)
 {
-    std::string payload = serializePayload(shard);
-    std::string out = "{\"version\":" + std::to_string(kRecordsVersion);
-    out += ",\"kind\":\"stellar-dse-shard\"";
-    out += ",\"checksum\":" + json::quote(checksumHex(payload));
-    out += ",\"payload\":" + payload;
-    out += "}";
+    std::string out;
+    out.reserve(512 + 176 * shard.records.size());
+    out += kVersionHead;
+    appendInt(out, kRecordsVersion);
+    out += kChecksumHead;
+    const std::size_t checksum_at = out.size();
+    out.append(kChecksumDigits, '0'); // patched once the payload is out
+    out += kPayloadHead;
+    const std::size_t payload_at = out.size();
+    out += kConfigHead;
+    writeSection(out, shard.config);
+    out += kRangeHead;
+    writeSection(out, shard.range);
+    out += kStatsHead;
+    writeSection(out, shard.stats);
+    out += kRecordsHead;
+    for (std::size_t i = 0; i < shard.records.size(); i++) {
+        if (i != 0)
+            out += ',';
+        writeSection(out, shard.records[i]);
+    }
+    out += "]}";
+    out.replace(checksum_at, kChecksumDigits,
+                checksumHex(std::string_view(out).substr(payload_at)));
+    out += '}';
     return out;
 }
 
 ShardRecords
 parseShardRecords(const std::string &text)
 {
-    json::Value root = json::parse(text, "dse shard records");
-    if (!root.isObject())
-        fail("document must be an object");
-    const json::Value *kind = root.find("kind");
-    if (kind == nullptr || !kind->isString() ||
-        kind->string != "stellar-dse-shard")
-        fail("not a stellar-dse-shard file");
-    std::int64_t version = intMember(root, "version");
+    Cursor head(text, 0);
+    auto notShard = [&] { head.fail("not a stellar-dse-shard file"); };
+    std::int64_t version = 0;
+    if (!head.consume(kVersionHead) || !head.integer(version))
+        notShard();
     if (version != kRecordsVersion)
         fail("unsupported version " + std::to_string(version) +
              " (this build reads version " +
              std::to_string(kRecordsVersion) + ")");
+    if (!head.consume(kChecksumHead))
+        notShard();
+    const std::string_view checksum = head.take(kChecksumDigits);
+    if (checksum.size() != kChecksumDigits ||
+        !std::all_of(checksum.begin(), checksum.end(), [](char c) {
+            return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+        }))
+        notShard();
+    if (!head.consume(kPayloadHead))
+        notShard();
 
-    // Re-serialize the parsed payload and compare checksums: any byte
-    // that changed a value anywhere is caught here, before a single
-    // record is admitted.
-    const json::Value &payload = member(root, "payload");
-    if (!payload.isObject())
-        fail("'payload' must be an object");
-    std::string canonical = json::serialize(payload);
-    const json::Value &checksum = member(root, "checksum");
-    if (!checksum.isString() ||
-        checksum.string != checksumHex(canonical))
+    // The checksum covers the payload's raw bytes, from its first byte
+    // up to the document's closing '}', so any changed byte is caught
+    // here, before a single field is read.
+    const std::size_t payload_at = head.offset();
+    std::string_view payload = std::string_view(text).substr(payload_at);
+    if (!payload.empty())
+        payload.remove_suffix(1);
+    if (checksum != checksumHex(payload))
         fail("checksum mismatch (file damaged or hand-edited)");
 
     ShardRecords shard;
-    shard.config = parseConfig(member(payload, "config"));
-    shard.range = parseRange(member(payload, "range"));
-    shard.stats = parseStats(member(payload, "stats"), shard.range);
-    const json::Value &records = member(payload, "records");
-    if (!records.isArray())
-        fail("'records' must be an array");
-    if (std::int64_t(records.array.size()) != shard.stats.yielded)
-        fail("record count disagrees with stats.yielded");
-    shard.records.reserve(records.array.size());
-    std::int64_t prev_code = -1;
-    for (std::size_t i = 0; i < records.array.size(); i++) {
-        shard.records.push_back(parseRecord(records.array[i],
-                                            shard.range, i, prev_code));
-        prev_code = shard.records.back().code;
+    Cursor in(payload, payload_at);
+    in.expect(kConfigHead);
+    readSection(in, shard.config);
+    checkConfig(shard.config);
+    in.expect(kRangeHead);
+    readSection(in, shard.range);
+    checkRange(shard.range);
+    in.expect(kStatsHead);
+    readSection(in, shard.stats);
+    checkStats(shard.stats, shard.range);
+    in.expect(kRecordsHead);
+    // Every record spells at least ~110 bytes, which bounds the
+    // reservation a forged `yielded` can ask for.
+    shard.records.reserve(std::size_t(std::min<std::int64_t>(
+            shard.stats.yielded, std::int64_t(payload.size() / 64))));
+    if (!in.consume("]")) {
+        std::int64_t prev_code = std::numeric_limits<std::int64_t>::min();
+        do {
+            CandidateRecord &record = shard.records.emplace_back();
+            readSection(in, record);
+            checkRecord(record, shard.range, prev_code);
+            prev_code = record.code;
+        } while (in.consume(","));
+        in.expect("]");
     }
+    if (std::int64_t(shard.records.size()) != shard.stats.yielded)
+        fail("record count disagrees with stats.yielded");
+    in.expect("}");
+    if (!in.done())
+        fail("trailing content after the payload");
+    if (text.back() != '}')
+        fail("expected '}' closing the document");
     return shard;
 }
 
@@ -387,12 +513,16 @@ saveShardRecordsFile(const ShardRecords &shard, const std::string &path)
 ShardRecords
 loadShardRecordsFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         fail("cannot read " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseShardRecords(text.str());
+    const std::streamoff size = in.tellg();
+    if (size < 0 || !in.seekg(0))
+        fail("cannot size " + path);
+    std::string text(std::size_t(size), '\0');
+    if (!in.read(text.data(), size) || in.gcount() != size)
+        fail("short read of " + path);
+    return parseShardRecords(text);
 }
 
 ShardRecords

@@ -20,10 +20,12 @@
  * process scanning the whole space would produce
  * (tests/shard_merge_test.cpp pins this differentially).
  *
- * The on-disk format mirrors serve::snapshot: a `util::json` document
- * carrying a version, a kind tag, and an FNV-1a checksum over the
- * re-serialized payload, so any damaged byte is rejected as a
- * classified FatalError before a single record is admitted. Mixed
+ * The on-disk format is one line of JSON carrying a version, a kind
+ * tag, and an FNV-1a checksum over the payload's raw bytes. The reader
+ * is one strict forward pass that accepts exactly the bytes the writer
+ * produces (docs/DISTRIBUTED.md has the grammar), so any damaged or
+ * re-spelled byte is rejected as a classified FatalError before a
+ * single record is admitted. Mixed
  * versions, overlapping or gapped ranges, shuffled input order, and a
  * code that does not decode to an orbit-canonical survivor are all
  * detected at merge time.
@@ -126,12 +128,13 @@ ShardRecords scanShard(const func::FunctionalSpec &functional,
                        const model::AreaParams &area_params,
                        const model::TimingParams &timing_params);
 
-/** Serialize to the versioned, checksummed JSON document. */
+/** Serialize to the versioned, checksummed single-line document. */
 std::string serializeShardRecords(const ShardRecords &shard);
 
 /**
  * Parse and fully validate one shard document. Rejects wrong kind,
- * version mismatch, checksum mismatch, malformed shapes, out-of-range
+ * version mismatch, checksum mismatch, any spelling the writer would
+ * not produce (whitespace, key order, number form), out-of-range
  * or non-monotone codes, and counter-invariant violations — all as
  * classified FatalError, never an unclassified throw.
  */
@@ -141,7 +144,8 @@ ShardRecords parseShardRecords(const std::string &text);
 void saveShardRecordsFile(const ShardRecords &shard,
                           const std::string &path);
 
-/** Load + parse one shard file; missing file is a classified error. */
+/** Load + parse one shard file; a missing or short-read file is a
+ *  classified error naming the path. */
 ShardRecords loadShardRecordsFile(const std::string &path);
 
 /** Eval-side knobs for the merge's elaboration pass (the knobs that

@@ -22,7 +22,7 @@ std::int64_t
 intField(const json::Value &value, const std::string &key,
          std::int64_t min, std::int64_t max)
 {
-    std::int64_t v = json::toInt64(value, "serve request: '" + key + "'");
+    std::int64_t v = json::toInt64(value, "serve request: ", key);
     if (v < min || v > max)
         fail("'" + key + "' must be in [" + std::to_string(min) + ", " +
                      std::to_string(max) + "] (got " + std::to_string(v) +

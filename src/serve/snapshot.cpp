@@ -83,8 +83,8 @@ member(const json::Value &object, const std::string &key)
 std::int64_t
 intMember(const json::Value &object, const std::string &key)
 {
-    return json::toInt64(member(object, key),
-                         "design-memo snapshot: '" + key + "'");
+    return json::toInt64(member(object, key), "design-memo snapshot: ",
+                         key);
 }
 
 double

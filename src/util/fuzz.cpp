@@ -367,9 +367,10 @@ evaluateEnumerateInput(Rng &rng, const FuzzOptions &options,
  * record code under a fresh checksum must merge byte-identically or be
  * rejected; arbitrary byte-level mutilations and merge misuse (a
  * dropped or duplicated shard file) may fail, but only as classified
- * failures — an unclassified throw, or a corruption mode that parses,
- * is the violation. Property breaches throw std::logic_error (deliberately
- * unclassified) so they surface with a seeded repro.
+ * failures — an unclassified throw, or a corruption mode or one-byte
+ * flip that parses, is the violation. Property breaches throw
+ * std::logic_error (deliberately unclassified) so they surface with a
+ * seeded repro.
  */
 EvalOutcome
 evaluateRecordsInput(Rng &rng, const FuzzOptions &options,
@@ -462,9 +463,13 @@ evaluateRecordsInput(Rng &rng, const FuzzOptions &options,
                 "(mode " + std::to_string(attack - 1) + ") parsed");
     }
     if (attack == 6 || attack == 7) {
-        // Arbitrary mutilation: flip or excise a random span. May
-        // still parse (the mutation can land in a string we re-verify
-        // by checksum anyway) — it just must not throw unclassified.
+        // Arbitrary mutilation: flip one byte or excise a span. The
+        // header is literal but for the version and checksum digits,
+        // and the checksum covers the payload's raw bytes, so no
+        // mutation re-spells a valid document. A one-byte flip cannot
+        // even collide — each FNV-1a step is a bijection of the hash —
+        // so it must be rejected; an excision is rejected unless its
+        // checksum collides. Either way a throw must classify.
         std::size_t at = std::size_t(
                 rng.nextBounded(std::uint64_t(text.size())));
         if (attack == 6)
@@ -472,6 +477,10 @@ evaluateRecordsInput(Rng &rng, const FuzzOptions &options,
         else
             text.erase(at, 1 + std::size_t(rng.nextBounded(64)));
         accel::parseShardRecords(text); // throws classified or succeeds
+        if (attack == 6)
+            throw std::logic_error(
+                    "fuzz property violated: shard records with one "
+                    "flipped byte parsed");
         return {};
     }
     if (attack == 8 && !shards[std::size_t(victim)].records.empty()) {

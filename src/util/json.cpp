@@ -371,12 +371,8 @@ quote(const std::string &text)
 }
 
 std::int64_t
-toInt64(const Value &value, const std::string &what)
+toInt64(const Value &value, std::string_view what, std::string_view key)
 {
-    require(value.isNumber(),
-            what + " must be a number (at byte " +
-                    std::to_string(value.offset) + ")");
-    double d = value.number;
     // 2^63 is exactly representable as a double; INT64_MAX is not, and
     // inputs like "9223372036854775807" strtod-round up to exactly 2^63.
     // The upper bound must therefore be exclusive on 2^63 itself, or the
@@ -384,10 +380,16 @@ toInt64(const Value &value, const std::string &what)
     // -2^63 is exact and equals INT64_MIN, so the lower bound stays
     // inclusive.
     constexpr double kLimit = 9223372036854775808.0; // 2^63
-    require(d == std::floor(d) && d >= -kLimit && d < kLimit,
-            what + " must be an integer (at byte " +
-                    std::to_string(value.offset) + ")");
-    return std::int64_t(d);
+    const double d = value.number;
+    const bool number = value.isNumber();
+    if (number && d == std::floor(d) && d >= -kLimit && d < kLimit)
+        return std::int64_t(d);
+    // Only a failing field pays for its message.
+    std::string message(what);
+    if (!key.empty())
+        message.append("'").append(key).append("'");
+    message += number ? " must be an integer" : " must be a number";
+    fatal(message + " (at byte " + std::to_string(value.offset) + ")");
 }
 
 } // namespace stellar::util::json

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -104,10 +105,14 @@ std::string quote(const std::string &text);
 
 /**
  * Require that `value.number` is an integral value representable in
- * int64; raises FatalError naming `what` and the byte offset
- * otherwise. The guard every integer-typed request field goes through.
+ * int64; raises FatalError otherwise, naming the field and the byte
+ * offset. The field is `what`, followed by `'key'` when `key` is
+ * given; the message is built only on failure, so the guard every
+ * integer-typed request field goes through allocates nothing when the
+ * field is well formed.
  */
-std::int64_t toInt64(const Value &value, const std::string &what);
+std::int64_t toInt64(const Value &value, std::string_view what,
+                     std::string_view key = {});
 
 } // namespace stellar::util::json
 

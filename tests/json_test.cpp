@@ -163,6 +163,22 @@ TEST(JsonTest, ToInt64GuardsIntegerFields)
     // The largest double below 2^63 (2^63 - 1024) still converts.
     EXPECT_EQ(json::toInt64(json::parse("9223372036854774784"), "f"),
               9223372036854774784LL);
+    // The message is built only on failure; it names the field as
+    // `what` followed by the quoted key, and the byte offset.
+    try {
+        json::toInt64(json::parse(" 1.5"), "serve request: ", "width");
+        ADD_FAILURE() << "1.5 accepted as an integer";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(), "stellar fatal: serve request: 'width' "
+                                 "must be an integer (at byte 1)");
+    }
+    try {
+        json::toInt64(json::parse("true"), "calibration JSON: 'version'");
+        ADD_FAILURE() << "true accepted as an integer";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(), "stellar fatal: calibration JSON: "
+                                 "'version' must be a number (at byte 0)");
+    }
 }
 
 } // namespace

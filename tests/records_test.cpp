@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -27,6 +29,7 @@
 #include "func/library.hpp"
 #include "model/params.hpp"
 #include "util/failure.hpp"
+#include "util/memo.hpp"
 #include "util/rng.hpp"
 
 namespace stellar
@@ -232,6 +235,149 @@ TEST(Records, ArbitraryMutilationGauntletNeverThrowsUnclassified)
     }
     EXPECT_GT(rejected, 0);
     EXPECT_EQ(accepted + rejected, 300);
+}
+
+/** Recompute a document's checksum over its (edited) payload bytes:
+ *  everything from the payload's first byte to the closing '}'. */
+std::string
+withFreshChecksum(std::string text)
+{
+    const std::string head = "\"checksum\":\"";
+    const std::string tail = "\",\"payload\":";
+    std::size_t checksum_at = text.find(head) + head.size();
+    std::size_t payload_at = text.find(tail) + tail.size();
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  (unsigned long long)util::fnv1a(std::string_view(text).substr(
+                          payload_at, text.size() - payload_at - 1)));
+    text.replace(checksum_at, 16, hex);
+    return text;
+}
+
+TEST(Records, RespelledDocumentsAreRejectedClassified)
+{
+    // The reader accepts exactly the bytes the writer produces. A
+    // JSON-equal re-spelling fails the raw-byte checksum, and one that
+    // changes the structure fails the strict grammar even when its
+    // checksum is recomputed over the edited payload.
+    auto shards = scanAll(smallConfig(), 1);
+    ASSERT_FALSE(shards[0].records.empty());
+    shards[0].records.front().score = 1e-300;
+    const std::string text = accel::serializeShardRecords(shards[0]);
+    ASSERT_NO_THROW(accel::parseShardRecords(text));
+
+    // The first record, `{"code":...}`, and its comma-separated fields.
+    const std::size_t first = text.find("{\"code\":");
+    const std::size_t last = text.find('}', first);
+    ASSERT_NE(first, std::string::npos);
+    const std::string record = text.substr(first, last + 1 - first);
+    std::vector<std::string> fields;
+    for (std::size_t at = 1; at < record.size();) {
+        std::size_t end = record.find(',', at);
+        if (end == std::string::npos)
+            end = record.size() - 1;
+        fields.push_back(record.substr(at, end - at));
+        at = end + 1;
+    }
+    ASSERT_EQ(fields.size(), 7u);
+    ASSERT_EQ(fields[2], "\"score\":1e-300");
+    auto withRecord = [&](const std::vector<std::string> &edited) {
+        std::string body = "{";
+        for (std::size_t i = 0; i < edited.size(); i++)
+            body += (i == 0 ? "" : ",") + edited[i];
+        std::string out = text;
+        out.replace(first, record.size(), body + "}");
+        return out;
+    };
+
+    auto swapped = fields;
+    std::swap(swapped[1], swapped[2]);
+    auto extra = fields;
+    extra.push_back("\"extra\":1");
+    auto dropped = fields;
+    dropped.pop_back();
+    auto fractional = fields;
+    fractional[0] += ".0";
+    auto spaced = fields;
+    spaced[0].insert(spaced[0].find(':') + 1, " ");
+    auto upper = fields;
+    upper[2] = "\"score\":1E-300";
+
+    struct Case
+    {
+        const char *what;
+        std::string text;
+        bool structural;
+    };
+    const std::vector<Case> cases = {
+            {"whitespace in a record", withRecord(spaced), true},
+            {"trailing newline", text + "\n", true},
+            {"swapped keys", withRecord(swapped), true},
+            {"extra field", withRecord(extra), true},
+            {"dropped field", withRecord(dropped), true},
+            {"integer spelled N.0", withRecord(fractional), true},
+            {"exponent e spelled E", withRecord(upper), false},
+    };
+    for (const Case &c : cases) {
+        ASSERT_NE(c.text, text) << c.what;
+        auto failure = expectClassifiedThrow(
+                [&] { accel::parseShardRecords(c.text); }, c.what);
+        EXPECT_EQ(failure.kind, util::FailureKind::UserSpec) << c.what;
+        EXPECT_NE(failure.message.find("checksum mismatch"),
+                  std::string::npos)
+                << c.what << ": " << failure.message;
+        if (!c.structural)
+            continue;
+        std::string fresh = withFreshChecksum(c.text);
+        failure = expectClassifiedThrow(
+                [&] { accel::parseShardRecords(fresh); }, c.what);
+        EXPECT_EQ(failure.kind, util::FailureKind::UserSpec) << c.what;
+        EXPECT_EQ(failure.message.find("checksum mismatch"),
+                  std::string::npos)
+                << c.what << ": " << failure.message;
+    }
+    // The helper itself produces documents the reader accepts.
+    EXPECT_NO_THROW(accel::parseShardRecords(withFreshChecksum(text)));
+
+    // The closing '}' lies outside the checksummed span, and the reader
+    // still requires it.
+    std::string unclosed = text;
+    unclosed.back() = ']';
+    auto failure = expectClassifiedThrow(
+            [&] { accel::parseShardRecords(unclosed); }, "unclosed");
+    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+    EXPECT_NE(failure.message.find("closing the document"),
+              std::string::npos)
+            << failure.message;
+}
+
+TEST(Records, HardScoresRoundTripBitExact)
+{
+    const std::vector<double> scores = {
+            0.0,
+            -0.0,
+            4.9406564584124654e-324, // the smallest subnormal
+            2.2250738585072009e-308, // the largest subnormal
+            1e-300,
+            1.7976931348623157e308, // the largest finite double
+            0.1,                    // 0.10000000000000001 at 17 digits
+            1.0 / 3.0,
+            123456789.12345679,
+            -9007199254740993.0,
+    };
+    auto shards = scanAll(smallConfig(), 1);
+    auto &records = shards[0].records;
+    ASSERT_GE(records.size(), scores.size());
+    for (std::size_t i = 0; i < records.size(); i++)
+        records[i].score = scores[i % scores.size()];
+    std::string text = accel::serializeShardRecords(shards[0]);
+    auto parsed = accel::parseShardRecords(text);
+    EXPECT_EQ(accel::serializeShardRecords(parsed), text);
+    ASSERT_EQ(parsed.records.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); i++)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.records[i].score),
+                  std::bit_cast<std::uint64_t>(records[i].score))
+                << "record " << i << " score " << records[i].score;
 }
 
 TEST(Records, TamperedRangeIsRejectedEvenWithAFreshChecksum)
