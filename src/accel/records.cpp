@@ -10,9 +10,9 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "accel/analytic.hpp"
@@ -662,7 +662,9 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     AnalyticTopK<std::int64_t> top(analytic_top_k);
     // Signature -> the last shard that yielded it. A shard's scan dedups
     // locally, so a repeat within one shard is a forged record.
-    std::map<std::vector<std::int64_t>, std::int64_t> owners;
+    std::unordered_map<std::vector<std::int64_t>, std::int64_t,
+                       dataflow::SignatureHash>
+            owners;
     std::int64_t yielded = 0;
     std::int64_t merge_duplicates = 0;
     std::int64_t prior_examined = 0;

@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -19,6 +20,10 @@ namespace stellar::dataflow
 
 namespace
 {
+
+/** The scan's signature dedup sets; only membership is ever read. */
+using SignatureSet =
+        std::unordered_set<std::vector<std::int64_t>, SignatureHash>;
 
 /** Size of the first scan chunk (chunks then grow geometrically). */
 constexpr std::int64_t kFirstChunkCodes = 4096;
@@ -363,9 +368,10 @@ RowTables::RowTables(const Geometry &g,
 }
 
 /**
- * Per-chunk scan scratch. Decodes into a flat cell array, computes the
- * determinant in closed form (n <= 4), and builds signatures into
- * reused buffers — the hot loop allocates only for survivors.
+ * Per-chunk scan scratch. Decodes into a flat cell array, takes its
+ * determinant without allocating (rowMajorDeterminant, n <= 4), and
+ * builds signatures into reused buffers — the hot loop allocates only
+ * for survivors.
  */
 struct Scanner
 {
@@ -437,7 +443,7 @@ struct Scanner
             cells[std::size_t(cell)] = g.minCoeff + rest % g.range;
             rest /= g.range;
         }
-        if (determinant() == 0)
+        if (rowMajorDeterminant(cells.data(), n) == 0)
             return false;
 
         const std::size_t recs = recurrences.size();
@@ -486,34 +492,6 @@ struct Scanner
                                    std::size_t(c)];
         return m;
     }
-
-  private:
-    std::int64_t determinant() const
-    {
-        const std::int64_t *a = cells.data();
-        switch (g.n) {
-        case 1:
-            return a[0];
-        case 2:
-            return a[0] * a[3] - a[1] * a[2];
-        case 3:
-            return a[0] * (a[4] * a[8] - a[5] * a[7]) -
-                   a[1] * (a[3] * a[8] - a[5] * a[6]) +
-                   a[2] * (a[3] * a[7] - a[4] * a[6]);
-        default: {
-            auto det3 = [&](int c1, int c2, int c3) {
-                return a[4 + c1] * (a[8 + c2] * a[12 + c3] -
-                                    a[8 + c3] * a[12 + c2]) -
-                       a[4 + c2] * (a[8 + c1] * a[12 + c3] -
-                                    a[8 + c3] * a[12 + c1]) +
-                       a[4 + c3] * (a[8 + c1] * a[12 + c2] -
-                                    a[8 + c2] * a[12 + c1]);
-            };
-            return a[0] * det3(1, 2, 3) - a[1] * det3(0, 2, 3) +
-                   a[2] * det3(0, 1, 3) - a[3] * det3(0, 1, 2);
-        }
-        }
-    }
 };
 
 /**
@@ -556,7 +534,7 @@ scanChunk(Scanner &scanner, std::int64_t lo, std::int64_t hi,
     ChunkResult res;
     res.lo = lo;
     res.hi = hi;
-    std::set<std::vector<std::int64_t>> local;
+    SignatureSet local;
     for (std::int64_t code = scanner.nextFeasible(lo, hi); code < hi;
          code = scanner.nextFeasible(code + 1, hi)) {
         res.decoded++;
@@ -668,7 +646,7 @@ struct TransformStream::Impl : ScanContext
     bool haveCurrent = false;
     bool done = false;
 
-    std::set<std::vector<std::int64_t>> signatures;
+    SignatureSet signatures;
     // Totals over fully consumed chunks; merge-level duplicates are
     // tracked separately because they belong to the consuming walk.
     std::int64_t priorExamined = 0;

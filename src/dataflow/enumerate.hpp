@@ -118,6 +118,27 @@ struct EnumerateStats
     std::int64_t yielded = 0;       //!< survivors produced
 };
 
+/**
+ * Hash of a dedup signature (EnumeratedTransform::signature), shared by
+ * every hashed signature container: the scan's chunk-local and merge
+ * sets and the shard-records merge. None of them is iterated, so the
+ * hash order never reaches an output.
+ */
+struct SignatureHash
+{
+    std::size_t operator()(
+            const std::vector<std::int64_t> &signature) const noexcept
+    {
+        std::uint64_t h = 0xcbf29ce484222325ull ^ signature.size();
+        for (std::int64_t v : signature) {
+            h ^= std::uint64_t(v);
+            h *= 0x9e3779b97f4a7c15ull;
+            h ^= h >> 32;
+        }
+        return std::size_t(h);
+    }
+};
+
 /** One survivor of the coefficient-code scan. */
 struct EnumeratedTransform
 {

@@ -11,9 +11,9 @@ SpaceTimeTransform::SpaceTimeTransform(IntMatrix matrix, std::string name)
     : matrix_(std::move(matrix)), name_(std::move(name))
 {
     require(matrix_.isSquare(), "space-time transform must be square");
-    require(matrix_.isInvertible(),
-            "space-time transform must be invertible");
-    inverse_ = matrix_.inverse();
+    std::optional<FracMatrix> inverse = matrix_.tryInverse();
+    require(inverse.has_value(), "space-time transform must be invertible");
+    inverse_ = std::move(*inverse);
 }
 
 IntVec

@@ -71,14 +71,16 @@ Fraction::normalize()
     // The canonical form needs a positive int64 denominator and an
     // int64 numerator; reduction can leave a magnitude only INT64_MIN
     // itself could carry (e.g. 1/INT64_MIN, INT64_MIN/-1).
-    require(ud <= kInt64MaxU,
-            "Fraction " + std::to_string(num_) + "/" +
-                    std::to_string(den_) +
-                    " has no canonical int64 form (denominator overflow)");
-    require(un <= kInt64MaxU + (negative ? 1 : 0),
-            "Fraction " + std::to_string(num_) + "/" +
-                    std::to_string(den_) +
-                    " has no canonical int64 form (numerator overflow)");
+    // The messages are built only on failure: normalize runs on every
+    // construction.
+    if (ud > kInt64MaxU)
+        fatal("Fraction " + std::to_string(num_) + "/" +
+              std::to_string(den_) +
+              " has no canonical int64 form (denominator overflow)");
+    if (un > kInt64MaxU + (negative ? 1 : 0))
+        fatal("Fraction " + std::to_string(num_) + "/" +
+              std::to_string(den_) +
+              " has no canonical int64 form (numerator overflow)");
     den_ = std::int64_t(ud);
     if (!negative)
         num_ = std::int64_t(un);
@@ -91,15 +93,16 @@ Fraction::normalize()
 std::int64_t
 Fraction::toInteger() const
 {
-    invariant(den_ == 1, "Fraction " + toString() + " is not an integer");
+    if (den_ != 1)
+        panic("Fraction " + toString() + " is not an integer");
     return num_;
 }
 
 Fraction
 Fraction::operator-() const
 {
-    require(num_ != std::numeric_limits<std::int64_t>::min(),
-            "Fraction negation of " + toString() + " overflows int64");
+    if (num_ == std::numeric_limits<std::int64_t>::min())
+        fatal("Fraction negation of " + toString() + " overflows int64");
     Fraction r;
     r.num_ = -num_;
     r.den_ = den_;

@@ -1,5 +1,6 @@
 #include "util/int_matrix.hpp"
 
+#include <array>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -128,44 +129,95 @@ IntMatrix::transpose() const
     return out;
 }
 
-std::int64_t
-IntMatrix::minorDet(int skip_row, int skip_col) const
+namespace
 {
-    IntMatrix sub(rows_ - 1, cols_ - 1);
-    int sr = 0;
-    for (int r = 0; r < rows_; r++) {
+
+/**
+ * The 3x3 determinant on rows `r0`, `r1`, `r2` and columns `c0` < `c1` <
+ * `c2`, expanded along `r0` with its zero entries skipped: the products
+ * are exactly those of the recursive cofactor expansion.
+ */
+std::int64_t
+det3(const std::int64_t *r0, const std::int64_t *r1, const std::int64_t *r2,
+     int c0, int c1, int c2)
+{
+    std::int64_t det = 0;
+    if (r0[c0] != 0)
+        det += r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1]);
+    if (r0[c1] != 0)
+        det += -r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0]);
+    if (r0[c2] != 0)
+        det += r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0]);
+    return det;
+}
+
+} // namespace
+
+std::int64_t
+rowMajorDeterminant(const std::int64_t *cells, int n)
+{
+    const std::int64_t *a = cells;
+    switch (n) {
+    case 0:
+        return 1;
+    case 1:
+        return a[0];
+    case 2:
+        return a[0] * a[3] - a[1] * a[2];
+    case 3:
+        return det3(a, a + 3, a + 6, 0, 1, 2);
+    case 4: {
+        std::int64_t det = 0;
+        if (a[0] != 0)
+            det += a[0] * det3(a + 4, a + 8, a + 12, 1, 2, 3);
+        if (a[1] != 0)
+            det += -a[1] * det3(a + 4, a + 8, a + 12, 0, 2, 3);
+        if (a[2] != 0)
+            det += a[2] * det3(a + 4, a + 8, a + 12, 0, 1, 3);
+        if (a[3] != 0)
+            det += -a[3] * det3(a + 4, a + 8, a + 12, 0, 1, 2);
+        return det;
+    }
+    default: {
+        std::int64_t det = 0;
+        for (int c = 0; c < n; c++) {
+            if (a[c] == 0)
+                continue;
+            std::int64_t sign = (c % 2 == 0) ? 1 : -1;
+            det += sign * a[c] * rowMajorMinor(a, n, 0, c);
+        }
+        return det;
+    }
+    }
+}
+
+std::int64_t
+rowMajorMinor(const std::int64_t *cells, int n, int skip_row, int skip_col)
+{
+    std::array<std::int64_t, 9> small;
+    std::vector<std::int64_t> large;
+    std::int64_t *minor = small.data();
+    if (n > 4) {
+        large.resize(std::size_t(n - 1) * std::size_t(n - 1));
+        minor = large.data();
+    }
+    std::int64_t *out = minor;
+    for (int r = 0; r < n; r++) {
         if (r == skip_row)
             continue;
-        int sc = 0;
-        for (int c = 0; c < cols_; c++) {
-            if (c == skip_col)
-                continue;
-            sub.at(sr, sc) = at(r, c);
-            sc++;
-        }
-        sr++;
+        for (int c = 0; c < n; c++)
+            if (c != skip_col)
+                *out++ = cells[std::size_t(r) * std::size_t(n) +
+                               std::size_t(c)];
     }
-    return sub.determinant();
+    return rowMajorDeterminant(minor, n - 1);
 }
 
 std::int64_t
 IntMatrix::determinant() const
 {
     require(isSquare(), "determinant requires a square matrix");
-    if (rows_ == 0)
-        return 1;
-    if (rows_ == 1)
-        return at(0, 0);
-    if (rows_ == 2)
-        return at(0, 0) * at(1, 1) - at(0, 1) * at(1, 0);
-    std::int64_t det = 0;
-    for (int c = 0; c < cols_; c++) {
-        if (at(0, c) == 0)
-            continue;
-        std::int64_t sign = (c % 2 == 0) ? 1 : -1;
-        det += sign * at(0, c) * minorDet(0, c);
-    }
-    return det;
+    return rowMajorDeterminant(data_.data(), rows_);
 }
 
 bool
@@ -177,15 +229,25 @@ IntMatrix::isInvertible() const
 FracMatrix
 IntMatrix::inverse() const
 {
+    std::optional<FracMatrix> inv = tryInverse();
+    require(inv.has_value(), "matrix is singular; no inverse exists");
+    return std::move(*inv);
+}
+
+std::optional<FracMatrix>
+IntMatrix::tryInverse() const
+{
     require(isSquare(), "inverse requires a square matrix");
     std::int64_t det = determinant();
-    require(det != 0, "matrix is singular; no inverse exists");
+    if (det == 0)
+        return std::nullopt;
     FracMatrix inv(rows_, cols_);
     // inverse = adjugate / det; adjugate[r][c] = cofactor[c][r].
     for (int r = 0; r < rows_; r++) {
         for (int c = 0; c < cols_; c++) {
             std::int64_t sign = ((r + c) % 2 == 0) ? 1 : -1;
-            std::int64_t cof = sign * minorDet(c, r);
+            std::int64_t cof =
+                    sign * rowMajorMinor(data_.data(), rows_, c, r);
             inv.at(r, c) = Fraction(cof, det);
         }
     }

@@ -12,6 +12,7 @@
 #define STELLAR_UTIL_INT_MATRIX_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ class IntMatrix
 
     IntMatrix transpose() const;
 
-    /** Exact determinant by cofactor expansion (matrices here are tiny). */
+    /** Exact determinant (see rowMajorDeterminant). */
     std::int64_t determinant() const;
 
     bool isSquare() const { return rows_ == cols_; }
@@ -63,11 +64,13 @@ class IntMatrix
     /** Exact inverse as a rational matrix; fatal if singular. */
     FracMatrix inverse() const;
 
+    /** Exact inverse, or nullopt if singular; the determinant is
+     *  evaluated once. */
+    std::optional<FracMatrix> tryInverse() const;
+
     std::string toString() const;
 
   private:
-    std::int64_t minorDet(int skip_row, int skip_col) const;
-
     int rows_;
     int cols_;
     std::vector<std::int64_t> data_;
@@ -104,6 +107,19 @@ class FracMatrix
     int cols_;
     std::vector<Fraction> data_;
 };
+
+/**
+ * Exact determinant of the n x n row-major matrix at `cells`, by cofactor
+ * expansion along row 0 (written out in closed form for n <= 4, which
+ * never allocates). Zero entries of row 0 are skipped at every level, so
+ * their minors are never evaluated and cannot overflow.
+ */
+std::int64_t rowMajorDeterminant(const std::int64_t *cells, int n);
+
+/** Determinant of the n x n row-major matrix at `cells` with row
+ *  `skip_row` and column `skip_col` removed; heap-free for n <= 4. */
+std::int64_t rowMajorMinor(const std::int64_t *cells, int n, int skip_row,
+                           int skip_col);
 
 /** Element-wise difference a - b of equal-length vectors. */
 IntVec vecSub(const IntVec &a, const IntVec &b);

@@ -489,7 +489,7 @@ TEST(EnumerateStream, StandardHop3SweepDecodesOnlyFeasibleCodes)
             },
             &stats);
     expectStatsInvariants(stats, yielded);
-    EXPECT_LE(stats.decoded, 200000);
+    EXPECT_EQ(stats.decoded, 130944);
     EXPECT_EQ(stats.codesExamined, 40353607);
     EXPECT_EQ(stats.orbitSkipped, 35250453);
     EXPECT_EQ(stats.duplicates, 80304);

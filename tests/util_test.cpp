@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/failure.hpp"
 #include "util/fraction.hpp"
@@ -139,6 +145,37 @@ TEST(Fraction, NegatingInt64MinThrows)
               Fraction(std::numeric_limits<std::int64_t>::max(), 1));
 }
 
+/** The message of the `Error` that `fn` throws ("<no exception>" if none). */
+template <typename Error, typename Fn>
+std::string
+thrownMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const Error &e) {
+        return e.what();
+    }
+    return "<no exception>";
+}
+
+TEST(Fraction, FailureMessagesArePinned)
+{
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    EXPECT_EQ(thrownMessage<FatalError>([&] { Fraction(1, kMin); }),
+              "stellar fatal: Fraction 1/-9223372036854775808 has no "
+              "canonical int64 form (denominator overflow)");
+    EXPECT_EQ(thrownMessage<FatalError>([&] { Fraction(kMin, -1); }),
+              "stellar fatal: Fraction -9223372036854775808/-1 has no "
+              "canonical int64 form (numerator overflow)");
+    EXPECT_EQ(thrownMessage<PanicError>([] { Fraction(-4, 6).toInteger(); }),
+              "stellar panic: Fraction -2/3 is not an integer");
+    EXPECT_EQ(thrownMessage<FatalError>([&] { -Fraction(kMin, 1); }),
+              "stellar fatal: Fraction negation of -9223372036854775808 "
+              "overflows int64");
+    EXPECT_EQ(thrownMessage<FatalError>([] { Fraction(1, 0); }),
+              "stellar fatal: Fraction denominator must be nonzero");
+}
+
 TEST(Fraction, Gcd64SaturatesAtTheInt64Edge)
 {
     constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
@@ -222,13 +259,6 @@ TEST(IntMatrix, DeterminantKnownValues)
               3);
 }
 
-TEST(IntMatrix, SingularMatrixHasNoInverse)
-{
-    IntMatrix m{{1, 2}, {2, 4}};
-    EXPECT_FALSE(m.isInvertible());
-    EXPECT_THROW(m.inverse(), FatalError);
-}
-
 TEST(IntMatrix, VectorMultiply)
 {
     IntMatrix m{{1, 0, 0}, {0, 1, 0}, {1, 1, 1}};
@@ -275,6 +305,202 @@ TEST_P(MatrixInverseProperty, InverseRoundTrip)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatrixInverseProperty,
                          ::testing::Range(0, 8));
+
+/** A row-major n x n matrix, n <= 4. */
+using Cells = std::array<std::int64_t, 16>;
+
+/**
+ * Oracle: the textbook cofactor expansion of the submatrix of `a` (n x n)
+ * on the rows in `row_mask` and the columns in `col_mask`, along its first
+ * row, expanding every entry. It shares nothing with the library code:
+ * minors are masks, never copies.
+ */
+std::int64_t
+oracleDeterminant(const Cells &a, int n, unsigned row_mask, unsigned col_mask)
+{
+    if (row_mask == 0)
+        return 1;
+    const int r = std::countr_zero(row_mask);
+    std::int64_t det = 0;
+    std::int64_t sign = 1;
+    for (int c = 0; c < n; c++) {
+        if (!(col_mask & (1u << c)))
+            continue;
+        det += sign * a[std::size_t(r * n + c)] *
+               oracleDeterminant(a, n, row_mask & ~(1u << r),
+                                 col_mask & ~(1u << c));
+        sign = -sign;
+    }
+    return det;
+}
+
+std::int64_t
+oracleMinor(const Cells &a, int n, int skip_row, int skip_col)
+{
+    const unsigned all = (1u << n) - 1;
+    return oracleDeterminant(a, n, all & ~(1u << skip_row),
+                             all & ~(1u << skip_col));
+}
+
+IntMatrix
+fromCells(const Cells &a, int n)
+{
+    IntMatrix m(n, n);
+    for (int r = 0; r < n; r++)
+        for (int c = 0; c < n; c++)
+            m.at(r, c) = a[std::size_t(r * n + c)];
+    return m;
+}
+
+/** Determinant, every minor, and the inverse of `a` against the oracle. */
+::testing::AssertionResult
+matchesCofactorOracle(const Cells &a, int n)
+{
+    const IntMatrix m = fromCells(a, n);
+    auto fail = [&](const std::string &what) {
+        return ::testing::AssertionFailure() << what << " of " << m.toString();
+    };
+    const std::int64_t det = oracleDeterminant(a, n, (1u << n) - 1,
+                                               (1u << n) - 1);
+    if (m.determinant() != det ||
+        rowMajorDeterminant(a.data(), n) != det)
+        return fail("determinant");
+    Cells minors{};
+    for (int r = 0; r < n; r++) {
+        for (int c = 0; c < n; c++) {
+            minors[std::size_t(r * n + c)] = oracleMinor(a, n, r, c);
+            if (rowMajorMinor(a.data(), n, r, c) !=
+                minors[std::size_t(r * n + c)])
+                return fail("minor (" + std::to_string(r) + ", " +
+                            std::to_string(c) + ")");
+        }
+    }
+    std::optional<FracMatrix> inv = m.tryInverse();
+    if (inv.has_value() != (det != 0))
+        return fail("invertibility");
+    if (!inv)
+        return ::testing::AssertionSuccess();
+    // inverse[r][c] = (-1)^(r+c) minor(c, r) / det (Fraction keeps it in
+    // lowest terms).
+    for (int r = 0; r < n; r++) {
+        for (int c = 0; c < n; c++) {
+            const Fraction &got = inv->at(r, c);
+            std::int64_t cof = ((r + c) % 2 == 0 ? 1 : -1) *
+                               minors[std::size_t(c * n + r)];
+            if (got.num() * det != cof * got.den())
+                return fail("inverse entry (" + std::to_string(r) + ", " +
+                            std::to_string(c) + ")");
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Every n x n matrix with entries in [lo, hi], against the oracle. */
+void
+sweepAllMatrices(int n, std::int64_t lo, std::int64_t hi)
+{
+    const std::int64_t range = hi - lo + 1;
+    std::int64_t total = 1;
+    for (int i = 0; i < n * n; i++)
+        total *= range;
+    Cells a{};
+    for (std::int64_t code = 0; code < total; code++) {
+        std::int64_t rest = code;
+        for (int i = 0; i < n * n; i++) {
+            a[std::size_t(i)] = lo + rest % range;
+            rest /= range;
+        }
+        ASSERT_TRUE(matchesCofactorOracle(a, n));
+    }
+}
+
+TEST(IntMatrix, ClosedFormMatchesOracleOnEvery3x3InMinus2To2)
+{
+    sweepAllMatrices(3, -2, 2);
+}
+
+TEST(IntMatrix, ClosedFormMatchesOracleOnSeededRandom4x4)
+{
+    Rng rng(20240917);
+    int singular = 0;
+    for (int trial = 0; trial < 20000; trial++) {
+        Cells a{};
+        for (int i = 0; i < 16; i++)
+            a[std::size_t(i)] = rng.nextRange(-9, 9);
+        // Zero some entries: row-0 zeros take the skip path, and zero
+        // rows or columns make the matrix singular.
+        const int zeros = int(rng.nextRange(0, 8));
+        for (int z = 0; z < zeros; z++)
+            a[std::size_t(rng.nextRange(0, 15))] = 0;
+        singular += oracleDeterminant(a, 4, 15, 15) == 0;
+        ASSERT_TRUE(matchesCofactorOracle(a, 4)) << "trial " << trial;
+    }
+    EXPECT_GT(singular, 0);
+}
+
+TEST(IntMatrix, SingularMatrixHasNoInverse)
+{
+    const std::vector<std::pair<int, Cells>> cases = {
+            {1, {0}},
+            {2, {1, 2, 2, 4}},
+            {2, {0, 0, 3, 5}},
+            {3, {1, 2, 3, 4, 5, 6, 7, 8, 9}},
+            {3, {0, 0, 0, 1, 2, 3, 4, 5, 6}},
+            {3, {2, -1, 2, 4, -2, 4, 1, 7, 1}},
+            {4, {1, 2, 3, 4, 2, 4, 6, 8, 0, 1, 0, 1, 5, 0, 5, 0}},
+            {4, {0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0}},
+            {4, {1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 9, -9, 0, 0, -9, 9}},
+    };
+    for (const auto &[n, a] : cases) {
+        ASSERT_TRUE(matchesCofactorOracle(a, n));
+        const IntMatrix m = fromCells(a, n);
+        EXPECT_EQ(m.determinant(), 0) << m.toString();
+        EXPECT_FALSE(m.isInvertible());
+        EXPECT_FALSE(m.tryInverse().has_value());
+        EXPECT_EQ(thrownMessage<FatalError>([&] { m.inverse(); }),
+                  "stellar fatal: matrix is singular; no inverse exists");
+    }
+}
+
+// A zero in row 0 skips its minor, which here would overflow int64
+// (M * M for M = 2^32). Only the UBSan build sees the overflow if the
+// skip is lost; the values hold either way.
+TEST(IntMatrix, ZeroRowZeroEntriesSkipTheirMinors)
+{
+    constexpr std::int64_t M = std::int64_t(1) << 32;
+    IntMatrix three{{0, 1, 0}, {0, M, M}, {1, M, M}};
+    EXPECT_EQ(three.determinant(), M);
+    // Minor (0, 2) of this one holds the product M * M.
+    IntMatrix four{{0, 0, 0, 1}, {1, 0, 0, M}, {M, 0, 1, 0}, {0, 1, 0, 0}};
+    EXPECT_EQ(four.determinant(), 1);
+}
+
+TEST(IntMatrix, ClosedFormEdgeCases)
+{
+    // 0x0: the empty product, determinant 1, an empty inverse.
+    IntMatrix empty(0, 0);
+    EXPECT_EQ(empty.determinant(), 1);
+    ASSERT_TRUE(empty.tryInverse().has_value());
+    EXPECT_EQ(empty.tryInverse()->rows(), 0);
+
+    // 1x1: the minor is the 0x0 determinant.
+    Cells one{-3};
+    EXPECT_EQ(rowMajorMinor(one.data(), 1, 0, 0), 1);
+    FracMatrix inv = IntMatrix{{-3}}.inverse();
+    EXPECT_EQ(inv.at(0, 0), Fraction(-1, 3));
+    for (std::int64_t v = -4; v <= 4; v++)
+        ASSERT_TRUE(matchesCofactorOracle(Cells{v}, 1));
+
+    // 2x2: every matrix with entries in [-3, 3].
+    sweepAllMatrices(2, -3, 3);
+    IntMatrix two{{2, 1}, {7, 4}};
+    EXPECT_EQ(two.inverse(), *two.tryInverse());
+    EXPECT_EQ(two.inverse().at(1, 0), Fraction(-7));
+
+    // Non-square matrices are a user error, not a crash.
+    EXPECT_THROW(IntMatrix(2, 3).determinant(), FatalError);
+    EXPECT_THROW(IntMatrix(2, 3).tryInverse(), FatalError);
+}
 
 TEST(VecOps, SubAddL1Zero)
 {
