@@ -205,8 +205,13 @@ BM_AnalyticScoreOnly(benchmark::State &state)
     stellar::model::TimingParams timing_params;
     stellar::accel::AnalyticCostModel model(spec, bounds, {}, 8, 8,
                                             area_params, timing_params);
-    auto transforms = stellar::dataflow::enumerateTransforms(
-            spec, stellar::dataflow::EnumerateOptions{});
+    std::vector<stellar::dataflow::SpaceTimeTransform> transforms;
+    stellar::dataflow::forEachTransform(
+            spec, stellar::dataflow::EnumerateOptions{},
+            [&](const stellar::dataflow::EnumeratedTransform &item) {
+                transforms.push_back(item.transform);
+                return true;
+            });
     std::int64_t scored = 0;
     for (auto _ : state) {
         for (const auto &transform : transforms) {
@@ -218,19 +223,6 @@ BM_AnalyticScoreOnly(benchmark::State &state)
     state.SetItemsProcessed(scored);
 }
 BENCHMARK(BM_AnalyticScoreOnly)->Unit(benchmark::kMillisecond);
-
-void
-BM_EnumerateOnly(benchmark::State &state)
-{
-    auto spec = stellar::func::matmulSpec();
-    stellar::dataflow::EnumerateOptions options;
-    for (auto _ : state) {
-        auto transforms =
-                stellar::dataflow::enumerateTransforms(spec, options);
-        benchmark::DoNotOptimize(transforms);
-    }
-}
-BENCHMARK(BM_EnumerateOnly)->Unit(benchmark::kMillisecond);
 
 // The pull-style scan alone, never materializing the transform vector:
 // the enumeration cost the analytic tier actually pays.

@@ -52,7 +52,7 @@
 #include <vector>
 
 #include "serve/protocol.hpp"
-#include "util/fuzz.hpp"
+#include "testkit/fuzz.hpp"
 #include "util/socket.hpp"
 
 using namespace stellar;
@@ -213,7 +213,7 @@ soakWorker(const std::string &socket_path, std::uint64_t seed,
     };
     for (std::size_t i = 0; i < count; i++) {
         // Never `shutdown`: the target must stay up for the whole storm.
-        std::string request = util::fuzz::randomServeRequestText(
+        std::string request = fuzz::randomServeRequestText(
                 rng, /*allow_shutdown=*/false);
         try {
             auto conn = util::LocalSocket::connectTo(socket_path);
@@ -313,7 +313,7 @@ runSoak(const std::string &socket_path, std::size_t threads,
 int
 main(int argc, char **argv)
 {
-    util::fuzz::FuzzOptions options;
+    fuzz::FuzzOptions options;
     options.reproDir = "fuzz-repros";
     std::string soak_socket;
     std::size_t soak_threads = 4;
@@ -345,17 +345,17 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--domain") == 0 && i + 1 < argc) {
             std::string domain = argv[++i];
             if (domain == "spec")
-                options.domains = {util::fuzz::FuzzDomain::Spec};
+                options.domains = {fuzz::FuzzDomain::Spec};
             else if (domain == "transform")
-                options.domains = {util::fuzz::FuzzDomain::Transform};
+                options.domains = {fuzz::FuzzDomain::Transform};
             else if (domain == "mtx")
-                options.domains = {util::fuzz::FuzzDomain::MatrixMarket};
+                options.domains = {fuzz::FuzzDomain::MatrixMarket};
             else if (domain == "request")
-                options.domains = {util::fuzz::FuzzDomain::Request};
+                options.domains = {fuzz::FuzzDomain::Request};
             else if (domain == "enumerate")
-                options.domains = {util::fuzz::FuzzDomain::Enumerate};
+                options.domains = {fuzz::FuzzDomain::Enumerate};
             else if (domain == "records")
-                options.domains = {util::fuzz::FuzzDomain::Records};
+                options.domains = {fuzz::FuzzDomain::Records};
             else {
                 std::fprintf(stderr, "unknown domain '%s' (want spec, "
                                      "transform, mtx, request, "
@@ -378,12 +378,12 @@ main(int argc, char **argv)
         return runSoak(soak_socket, soak_threads, options.iterations,
                        options.seed, soak_stats_ms);
 
-    auto report = util::fuzz::runFuzz(options);
+    auto report = fuzz::runFuzz(options);
     std::printf("%s\n", report.toString().c_str());
     for (const auto &violation : report.violations) {
         std::fprintf(stderr,
                      "VIOLATION: domain %s iteration %zu seed %llx: %s\n",
-                     util::fuzz::fuzzDomainName(violation.domain),
+                     fuzz::fuzzDomainName(violation.domain),
                      violation.iteration,
                      (unsigned long long)violation.seed,
                      violation.failure.toString().c_str());

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <set>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 
 #include "util/logging.hpp"
 #include "util/saturate.hpp"
@@ -12,6 +12,17 @@
 
 namespace stellar::core
 {
+
+SpatialArray::SpatialArray(dataflow::SpaceTimeTransform transform,
+                           std::vector<ProcessingElement> pes,
+                           std::vector<PeWire> wires,
+                           std::vector<PePortClass> ports,
+                           std::int64_t scheduleLength)
+    : transform_(std::move(transform)), pes_(std::move(pes)),
+      wires_(std::move(wires)), ports_(std::move(ports)),
+      scheduleLength_(scheduleLength)
+{
+}
 
 IntVec
 SpatialArray::extents() const
@@ -114,15 +125,15 @@ forEachIoPoint(const IterationSpace &space, const IOConn &io, Fn &&fn)
     });
 }
 
-/** Flat scratch tables above this many slots fall back to the naive walk. */
+/** Flat scratch tables above this many slots become hash maps. */
 constexpr std::int64_t kDenseKeyLimit = std::int64_t(1) << 21;
 
 /**
  * The affine image of the bounds box under a transform: per-spatial-axis
  * [lo, hi] ranges, mixed-radix strides that flatten a spatial position
- * into one int64 key, and the time range. `dense` is false when the box
- * product overflows or exceeds kDenseKeyLimit — the fused walk cannot
- * index it and the naive walk takes over.
+ * into one int64 key, and the time range. `dense` holds when neither
+ * the box nor the time range exceeds kDenseKeyLimit slots, so the
+ * walk's tables can be flat vectors.
  */
 struct WalkGeometry
 {
@@ -145,6 +156,9 @@ struct WalkGeometry
     }
 };
 
+/** The walk geometry of `transform` over `bounds`. Throws FatalError
+ *  when any of it leaves the int64 range, so no walk ever computes an
+ *  overflowing position, key, or timestep. */
 WalkGeometry
 walkGeometry(const dataflow::SpaceTimeTransform &transform,
              const IntVec &bounds)
@@ -186,18 +200,53 @@ walkGeometry(const dataflow::SpaceTimeTransform &transform,
     }
     std::int64_t time_span = util::satAdd(
             util::satAdd(g.timeHi, -g.timeLo, &saturated), 1, &saturated);
-    g.dense = !saturated && g.boxSize <= kDenseKeyLimit &&
-              time_span <= kDenseKeyLimit;
+    require(!saturated,
+            "transform maps the bounds box outside the int64 range");
+    g.dense = g.boxSize <= kDenseKeyLimit && time_span <= kDenseKeyLimit;
     return g;
 }
 
-/** What the fused walk produces; applyTransform assembles the array. */
-struct FusedResult
+/**
+ * One per-position table of the fused walk, keyed by a flat spatial key
+ * or a timestep offset. Dense, it is a flat vector over [0, size);
+ * otherwise a hash map holding only the keys the walk touches. An
+ * unwritten key reads as `fill` either way.
+ */
+template <typename T, bool Dense>
+class KeyTable
 {
-    std::vector<ProcessingElement> pes;
-    std::vector<PeWire> wires;
-    std::vector<PePortClass> ports;
-    std::int64_t scheduleLength = 0;
+  public:
+    KeyTable(std::int64_t size, T fill) : fill_(fill)
+    {
+        if constexpr (Dense)
+            flat_.assign(std::size_t(size), fill);
+    }
+
+    T &
+    operator[](std::int64_t key)
+    {
+        if constexpr (Dense)
+            return flat_[std::size_t(key)];
+        else
+            return hashed_.try_emplace(key, fill_).first->second;
+    }
+
+    /** Largest value written, or `fill` when the table is empty. */
+    T
+    max() const
+    {
+        T best = fill_;
+        for (const T &v : flat_)
+            best = std::max(best, v);
+        for (const auto &entry : hashed_)
+            best = std::max(best, entry.second);
+        return best;
+    }
+
+  private:
+    T fill_;
+    std::vector<T> flat_;
+    std::unordered_map<std::int64_t, T> hashed_;
 };
 
 /**
@@ -206,14 +255,15 @@ struct FusedResult
  * every port's PE table and cycle histogram together; spatial position,
  * flat key, and timestep are updated incrementally per point from
  * precomputed per-axis carry deltas, so the hot loop does no matrix
- * multiplies and no heap allocation.
+ * multiplies (and, with Dense tables, no heap allocation).
  */
-FusedResult
-applyTransformFused(const IterationSpace &space,
-                    const dataflow::SpaceTimeTransform &transform,
-                    const WalkGeometry &g)
+template <bool Dense>
+SpatialArray
+fusedWalk(const IterationSpace &space,
+          const dataflow::SpaceTimeTransform &transform,
+          const WalkGeometry &g)
 {
-    FusedResult result;
+    std::vector<ProcessingElement> pes;
 
     const auto &bounds = space.bounds();
     const auto &m = transform.matrix();
@@ -241,8 +291,8 @@ applyTransformFused(const IterationSpace &space,
         }
     }
 
-    // PE fold table: flat spatial key -> index into array.pes_.
-    std::vector<std::int32_t> pe_at(std::size_t(g.boxSize), -1);
+    // PE fold table: flat spatial key -> index into pes.
+    KeyTable<std::int32_t, Dense> pe_at(g.boxSize, -1);
 
     // Per-wire distinct-source tables, in aliveConns order.
     struct WireScratch
@@ -251,22 +301,19 @@ applyTransformFused(const IterationSpace &space,
         dataflow::SpaceTimeDelta delta;
         std::int64_t keyDelta = 0;
         std::int64_t count = 0;
-        std::vector<std::uint8_t> seen;
+        KeyTable<std::uint8_t, Dense> seen;
     };
     std::vector<WireScratch> wires;
     for (const auto &conn : space.aliveConns()) {
         auto delta = transform.deltaOf(conn.diff);
         if (vecIsZero(delta.space))
             continue; // stationary: internal PE register, not a wire
-        WireScratch w;
-        w.conn = conn;
-        w.keyDelta = 0;
+        std::int64_t key_delta = 0;
         for (int r = 0; r < sd; r++)
-            w.keyDelta += delta.space[std::size_t(r)] *
-                          g.stride[std::size_t(r)];
-        w.delta = std::move(delta);
-        w.seen.assign(std::size_t(g.boxSize), 0);
-        wires.push_back(std::move(w));
+            key_delta += delta.space[std::size_t(r)] *
+                         g.stride[std::size_t(r)];
+        wires.push_back({conn, std::move(delta), key_delta, 0,
+                         KeyTable<std::uint8_t, Dense>(g.boxSize, 0)});
     }
 
     // Per-port PE tables and cycle histograms, in ioConns order.
@@ -277,21 +324,19 @@ applyTransformFused(const IterationSpace &space,
         std::size_t axis = 0;
         std::int64_t edge = 0;
         std::int64_t count = 0;
-        std::vector<std::uint8_t> seen;
-        std::vector<std::int64_t> perCycle;
+        KeyTable<std::uint8_t, Dense> seen;
+        KeyTable<std::int64_t, Dense> perCycle;
     };
     std::vector<IoScratch> ios;
     for (const auto &io : space.ioConns()) {
-        IoScratch s;
-        s.io = &io;
-        s.everyPoint = io.perPoint || io.boundaryIndex < 0;
-        if (!s.everyPoint) {
-            s.axis = std::size_t(io.boundaryIndex);
-            s.edge = io.isInput ? 0 : bounds[s.axis] - 1;
-        }
-        s.seen.assign(std::size_t(g.boxSize), 0);
-        s.perCycle.assign(std::size_t(g.timeHi - g.timeLo + 1), 0);
-        ios.push_back(std::move(s));
+        bool every_point = io.perPoint || io.boundaryIndex < 0;
+        std::size_t axis = every_point ? 0 : std::size_t(io.boundaryIndex);
+        std::int64_t edge =
+                every_point || io.isInput ? 0 : bounds[axis] - 1;
+        ios.push_back({&io, every_point, axis, edge, 0,
+                       KeyTable<std::uint8_t, Dense>(g.boxSize, 0),
+                       KeyTable<std::int64_t, Dense>(
+                               g.timeHi - g.timeLo + 1, 0)});
     }
 
     std::int64_t min_time = std::numeric_limits<std::int64_t>::max();
@@ -324,16 +369,16 @@ applyTransformFused(const IterationSpace &space,
         }
         for (std::int64_t i = 0; i < batch; i++) {
             // PE folding.
-            std::int32_t &slot = pe_at[std::size_t(key)];
+            std::int32_t &slot = pe_at[key];
             if (slot < 0) {
-                slot = std::int32_t(result.pes.size());
+                slot = std::int32_t(pes.size());
                 ProcessingElement pe;
                 pe.position = st;
                 pe.firstTime = t;
                 pe.lastTime = t;
-                result.pes.push_back(std::move(pe));
+                pes.push_back(std::move(pe));
             }
-            auto &pe = result.pes[std::size_t(slot)];
+            auto &pe = pes[std::size_t(slot)];
             pe.foldedPoints++;
             pe.firstTime = std::min(pe.firstTime, t);
             pe.lastTime = std::max(pe.lastTime, t);
@@ -355,7 +400,7 @@ applyTransformFused(const IterationSpace &space,
                 }
                 if (!interior)
                     continue;
-                auto &mark = w.seen[std::size_t(key - w.keyDelta)];
+                auto &mark = w.seen[key - w.keyDelta];
                 w.count += mark == 0;
                 mark = 1;
             }
@@ -364,10 +409,10 @@ applyTransformFused(const IterationSpace &space,
             for (auto &s : ios) {
                 if (!s.everyPoint && point[s.axis] != s.edge)
                     continue;
-                auto &mark = s.seen[std::size_t(key)];
+                auto &mark = s.seen[key];
                 s.count += mark == 0;
                 mark = 1;
-                s.perCycle[std::size_t(t - g.timeLo)]++;
+                s.perCycle[t - g.timeLo]++;
             }
 
             // Lexicographic advance with incremental st/key/t updates.
@@ -388,8 +433,8 @@ applyTransformFused(const IterationSpace &space,
         }
         left -= batch;
     }
-    result.scheduleLength = max_time - min_time + 1;
 
+    std::vector<PeWire> pe_wires;
     for (auto &w : wires) {
         PeWire wire;
         wire.tensor = w.conn.tensor;
@@ -398,9 +443,10 @@ applyTransformFused(const IterationSpace &space,
         wire.bundleSize = w.conn.bundled ? w.conn.bundleSize : 1;
         wire.wireLength = vecL1(w.delta.space);
         wire.instances = w.count;
-        result.wires.push_back(std::move(wire));
+        pe_wires.push_back(std::move(wire));
     }
 
+    std::vector<PePortClass> ports;
     for (auto &s : ios) {
         PePortClass port;
         port.tensor = s.io->tensor;
@@ -408,11 +454,11 @@ applyTransformFused(const IterationSpace &space,
         port.isInput = s.io->isInput;
         port.perPoint = s.io->perPoint;
         port.portCount = s.count;
-        for (auto per_cycle : s.perCycle)
-            port.maxPerCycle = std::max(port.maxPerCycle, per_cycle);
-        result.ports.push_back(std::move(port));
+        port.maxPerCycle = s.perCycle.max();
+        ports.push_back(std::move(port));
     }
-    return result;
+    return SpatialArray(transform, std::move(pes), std::move(pe_wires),
+                        std::move(ports), max_time - min_time + 1);
 }
 
 } // namespace
@@ -424,93 +470,8 @@ applyTransform(const IterationSpace &space,
     require(transform.dims() == space.numIndices(),
             "transform dimensionality must match the iteration space");
     WalkGeometry g = walkGeometry(transform, space.bounds());
-    if (!g.dense)
-        return applyTransformNaive(space, transform);
-    FusedResult fused = applyTransformFused(space, transform, g);
-    SpatialArray array;
-    array.transform_ = transform;
-    array.pes_ = std::move(fused.pes);
-    array.wires_ = std::move(fused.wires);
-    array.ports_ = std::move(fused.ports);
-    array.scheduleLength_ = fused.scheduleLength;
-    return array;
-}
-
-SpatialArray
-applyTransformNaive(const IterationSpace &space,
-                    const dataflow::SpaceTimeTransform &transform)
-{
-    require(transform.dims() == space.numIndices(),
-            "transform dimensionality must match the iteration space");
-    SpatialArray array;
-    array.transform_ = transform;
-
-    // Fold points onto PEs.
-    std::map<IntVec, std::size_t> pe_index;
-    std::int64_t min_time = std::numeric_limits<std::int64_t>::max();
-    std::int64_t max_time = std::numeric_limits<std::int64_t>::min();
-    space.forEachPoint([&](const IntVec &p) {
-        IntVec st = transform.apply(p);
-        std::int64_t t = st.back();
-        st.pop_back();
-        auto [it, inserted] = pe_index.try_emplace(st, array.pes_.size());
-        if (inserted) {
-            ProcessingElement pe;
-            pe.position = st;
-            pe.firstTime = t;
-            pe.lastTime = t;
-            array.pes_.push_back(std::move(pe));
-        }
-        auto &pe = array.pes_[it->second];
-        pe.foldedPoints++;
-        pe.firstTime = std::min(pe.firstTime, t);
-        pe.lastTime = std::max(pe.lastTime, t);
-        min_time = std::min(min_time, t);
-        max_time = std::max(max_time, t);
-    });
-    array.scheduleLength_ = max_time - min_time + 1;
-
-    // Surviving conn classes become wires.
-    for (const auto &conn : space.aliveConns()) {
-        auto delta = transform.deltaOf(conn.diff);
-        if (vecIsZero(delta.space))
-            continue; // stationary: internal PE register, not a wire
-        PeWire wire;
-        wire.tensor = conn.tensor;
-        wire.spaceDelta = delta.space;
-        wire.registers = delta.time;
-        wire.bundleSize = conn.bundled ? conn.bundleSize : 1;
-        wire.wireLength = vecL1(delta.space);
-        // Physical instances: distinct (source PE -> dest PE) pairs.
-        std::set<IntVec> sources;
-        space.forEachPoint([&](const IntVec &p) {
-            IntVec src = vecSub(p, conn.diff);
-            if (space.isInterior(src))
-                sources.insert(transform.spaceOf(src));
-        });
-        wire.instances = std::int64_t(sources.size());
-        array.wires_.push_back(std::move(wire));
-    }
-
-    // IOConn classes become regfile ports.
-    for (const auto &io : space.ioConns()) {
-        PePortClass port;
-        port.tensor = io.tensor;
-        port.externalTensor = io.externalTensor;
-        port.isInput = io.isInput;
-        port.perPoint = io.perPoint;
-        std::set<IntVec> port_pes;
-        std::map<std::int64_t, std::int64_t> per_cycle;
-        forEachIoPoint(space, io, [&](const IntVec &p) {
-            port_pes.insert(transform.spaceOf(p));
-            per_cycle[transform.timeOf(p)]++;
-        });
-        port.portCount = std::int64_t(port_pes.size());
-        for (const auto &[t, n] : per_cycle)
-            port.maxPerCycle = std::max(port.maxPerCycle, n);
-        array.ports_.push_back(std::move(port));
-    }
-    return array;
+    return g.dense ? fusedWalk<true>(space, transform, g)
+                   : fusedWalk<false>(space, transform, g);
 }
 
 mem::AccessOrder
@@ -521,81 +482,43 @@ arrayAccessOrder(const IterationSpace &space,
     const auto &m = t.matrix();
     int n = t.dims();
 
-    // Fast path: bucket requests into a dense per-timestep table using
-    // the analytic time range of the bounds box, and evaluate the time
-    // row directly instead of a full matrix apply per point.
-    bool saturated = false;
-    std::int64_t time_lo = 0;
-    std::int64_t time_hi = 0;
-    for (int c = 0; c < n; c++) {
-        std::int64_t reach = util::satMul(
-                m.at(n - 1, c), bounds[std::size_t(c)] - 1, &saturated);
-        if (reach < 0)
-            time_lo = util::satAdd(time_lo, reach, &saturated);
-        else
-            time_hi = util::satAdd(time_hi, reach, &saturated);
-    }
-    std::int64_t span = util::satAdd(
-            util::satAdd(time_hi, -time_lo, &saturated), 1, &saturated);
-    if (!saturated && span <= kDenseKeyLimit) {
-        std::vector<std::vector<IntVec>> steps(
-                static_cast<std::size_t>(span));
-        auto time_of = [&](const IntVec &p) {
-            std::int64_t time = 0;
-            for (int c = 0; c < n; c++)
-                time += m.at(n - 1, c) * p[std::size_t(c)];
-            return time;
-        };
-        for (const auto &io : space.ioConns()) {
-            if (io.externalTensor != external_tensor)
-                continue;
-            forEachIoPoint(space, io, [&](const IntVec &p) {
-                IntVec coords;
-                coords.reserve(io.externalCoords.size());
-                for (const auto &expr : io.externalCoords)
-                    coords.push_back(expr.evaluate(p, bounds));
-                steps[std::size_t(time_of(p) - time_lo)].push_back(
-                        std::move(coords));
-            });
-        }
-        mem::AccessOrder order;
-        std::size_t first = steps.size();
-        std::size_t last = 0;
-        for (std::size_t s = 0; s < steps.size(); s++) {
-            if (steps[s].empty())
-                continue;
-            first = std::min(first, s);
-            last = std::max(last, s);
-        }
-        if (first == steps.size())
-            return order;
-        for (std::size_t s = first; s <= last; s++)
-            order.addStep(std::move(steps[s]));
-        return order;
-    }
+    // The geometry check keeps every time-row product below in range.
+    walkGeometry(t, bounds);
+    auto time_of = [&](const IntVec &p) {
+        std::int64_t time = 0;
+        for (int c = 0; c < n; c++)
+            time += m.at(n - 1, c) * p[std::size_t(c)];
+        return time;
+    };
 
-    // Fallback for degenerate geometry: the original ordered-map path.
-    std::map<std::int64_t, std::vector<IntVec>> by_time;
+    // Record each access with its timestep in walk order, then bucket
+    // them into the steps from the first to the last access: the table
+    // is exactly as long as the order it builds.
+    std::vector<std::pair<std::int64_t, IntVec>> accesses;
+    std::int64_t first = std::numeric_limits<std::int64_t>::max();
+    std::int64_t last = std::numeric_limits<std::int64_t>::min();
     for (const auto &io : space.ioConns()) {
         if (io.externalTensor != external_tensor)
             continue;
         forEachIoPoint(space, io, [&](const IntVec &p) {
             IntVec coords;
+            coords.reserve(io.externalCoords.size());
             for (const auto &expr : io.externalCoords)
                 coords.push_back(expr.evaluate(p, bounds));
-            by_time[t.timeOf(p)].push_back(std::move(coords));
+            std::int64_t time = time_of(p);
+            first = std::min(first, time);
+            last = std::max(last, time);
+            accesses.emplace_back(time, std::move(coords));
         });
     }
     mem::AccessOrder order;
-    if (by_time.empty())
+    if (accesses.empty())
         return order;
-    std::int64_t lo = by_time.begin()->first;
-    std::int64_t hi = by_time.rbegin()->first;
-    for (std::int64_t step = lo; step <= hi; step++) {
-        auto it = by_time.find(step);
-        order.addStep(it == by_time.end() ? std::vector<IntVec>{}
-                                          : it->second);
-    }
+    std::vector<std::vector<IntVec>> steps(std::size_t(last - first + 1));
+    for (auto &[time, coords] : accesses)
+        steps[std::size_t(time - first)].push_back(std::move(coords));
+    for (auto &step : steps)
+        order.addStep(std::move(step));
     return order;
 }
 

@@ -65,6 +65,10 @@ class SpatialArray
 {
   public:
     SpatialArray() = default;
+    SpatialArray(dataflow::SpaceTimeTransform transform,
+                 std::vector<ProcessingElement> pes,
+                 std::vector<PeWire> wires, std::vector<PePortClass> ports,
+                 std::int64_t scheduleLength);
 
     const dataflow::SpaceTimeTransform &transform() const { return transform_; }
 
@@ -90,13 +94,6 @@ class SpatialArray
     std::string toString(const func::FunctionalSpec &spec) const;
 
   private:
-    friend SpatialArray applyTransform(
-            const IterationSpace &space,
-            const dataflow::SpaceTimeTransform &transform);
-    friend SpatialArray applyTransformNaive(
-            const IterationSpace &space,
-            const dataflow::SpaceTimeTransform &transform);
-
     dataflow::SpaceTimeTransform transform_;
     std::vector<ProcessingElement> pes_;
     std::vector<PeWire> wires_;
@@ -107,31 +104,24 @@ class SpatialArray
 /**
  * Map a pruned IterationSpace through a space-time transform.
  *
- * This is the fused fast path the DSE scores candidates through: one
- * pass over the iteration space computes PE folding, per-wire source
- * sets, and per-port cycle histograms together, indexing flat scratch
- * tables by a mixed-radix int64 encoding of the (bounded) spatial
- * position instead of allocating IntVec keys into std::map/std::set.
- * Falls back to applyTransformNaive when the spatial image box is too
- * large (or overflows) to index densely; both paths produce
- * byte-identical arrays.
+ * One fused pass over the iteration space computes PE folding, per-wire
+ * source sets, and per-port cycle histograms together, keying every
+ * per-position table by a mixed-radix int64 encoding of the (bounded)
+ * spatial position. The tables are flat vectors when the spatial image
+ * box and the time range fit in 2^21 slots, and hash maps over the same
+ * keys otherwise. The walk charges the current watchdog one step per point.
+ * A transform that maps the bounds box outside the int64 range is
+ * rejected with a FatalError before any walk.
  */
 SpatialArray applyTransform(const IterationSpace &space,
                             const dataflow::SpaceTimeTransform &transform);
 
 /**
- * Reference implementation of applyTransform: one full walk per
- * concern, ordered containers, no scratch reuse. Kept as the oracle for
- * the fused fast path's property tests (and as the fallback when the
- * spatial image box cannot be densely indexed).
- */
-SpatialArray applyTransformNaive(const IterationSpace &space,
-                                 const dataflow::SpaceTimeTransform &transform);
-
-/**
  * The order in which a spatial array consumes an input tensor or produces
  * an output tensor, derived from its IOConns and dataflow (Fig 13b):
- * per timestep, the external-tensor coordinates accessed at that step.
+ * per timestep, the external-tensor coordinates accessed at that step,
+ * from the first to the last step with an access. Rejects the same
+ * out-of-range transforms as applyTransform.
  */
 mem::AccessOrder arrayAccessOrder(const IterationSpace &space,
                                   const dataflow::SpaceTimeTransform &t,

@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <future>
 #include <mutex>
-#include <optional>
-#include <set>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -37,80 +35,8 @@ checkedIndices(const func::FunctionalSpec &spec)
     return n;
 }
 
-/** Historical cap for the materializing enumerateTransforms(). */
-constexpr std::int64_t kMaxMaterializedCodes = 100000000;
-
 /** Hard cap on the streaming scan (keeps code arithmetic in int64). */
 constexpr std::int64_t kMaxStreamCodes = 2000000000;
-
-/** A code that survived decode, invertibility, and causality checks. */
-struct RawCandidate
-{
-    IntMatrix matrix;
-    std::vector<std::int64_t> signature;
-};
-
-/**
- * Decode one coefficient code and run the per-candidate filters;
- * nullopt when rejected. Used by the serial oracle.
- */
-std::optional<RawCandidate>
-candidateAt(std::int64_t code, int n, std::int64_t min_coeff,
-            std::int64_t range,
-            const std::vector<func::Recurrence> &recurrences,
-            const EnumerateOptions &options)
-{
-    IntMatrix m(n, n);
-    std::int64_t rest = code;
-    for (int r = 0; r < n; r++) {
-        for (int c = 0; c < n; c++) {
-            m.at(r, c) = min_coeff + rest % range;
-            rest /= range;
-        }
-    }
-    if (!m.isInvertible())
-        return std::nullopt;
-
-    // Causality + wiring constraints over the recurrences.
-    std::vector<IntVec> displacements;
-    for (const auto &rec : recurrences) {
-        IntVec st = m * rec.diff;
-        std::int64_t dt = st.back();
-        if (dt < 0 || (dt == 0 && !options.allowBroadcast))
-            return std::nullopt;
-        std::int64_t hops = 0;
-        for (std::size_t axis = 0; axis + 1 < st.size(); axis++)
-            hops += st[axis] < 0 ? -st[axis] : st[axis];
-        if (hops > options.maxHopLength)
-            return std::nullopt;
-        displacements.push_back(std::move(st));
-    }
-
-    // Canonical signature modulo spatial-axis permutation and
-    // reflection: per-axis columns of |displacement|, sorted, plus
-    // the time displacements.
-    RawCandidate candidate;
-    candidate.matrix = std::move(m);
-    if (!displacements.empty()) {
-        std::size_t dims = displacements[0].size();
-        std::vector<IntVec> columns;
-        for (std::size_t axis = 0; axis + 1 < dims; axis++) {
-            IntVec column;
-            for (const auto &st : displacements) {
-                std::int64_t v = st[axis];
-                column.push_back(v < 0 ? -v : v);
-            }
-            columns.push_back(std::move(column));
-        }
-        std::sort(columns.begin(), columns.end());
-        for (const auto &column : columns)
-            candidate.signature.insert(candidate.signature.end(),
-                                       column.begin(), column.end());
-        for (const auto &st : displacements)
-            candidate.signature.push_back(st.back());
-    }
-    return candidate;
-}
 
 /**
  * Derived scan geometry. A code is the mixed-radix encoding of the
@@ -880,67 +806,8 @@ forEachTransform(const func::FunctionalSpec &spec,
         *stats = stream.stats();
 }
 
-std::vector<SpaceTimeTransform>
-enumerateTransforms(const func::FunctionalSpec &spec,
-                    const EnumerateOptions &options, EnumerateStats *stats)
-{
-    if (geometryFor(checkedIndices(spec), options).total >
-        kMaxMaterializedCodes) {
-        fatal("transform enumeration space too large; narrow the "
-              "coefficient range");
-    }
-    std::vector<SpaceTimeTransform> found;
-    forEachTransform(
-            spec, options,
-            [&](const EnumeratedTransform &item) {
-                found.push_back(item.transform);
-                return true;
-            },
-            stats);
-    return found;
-}
-
 namespace detail
 {
-
-std::vector<SpaceTimeTransform>
-enumerateTransformsOracle(const func::FunctionalSpec &spec,
-                          const EnumerateOptions &options)
-{
-    int n = spec.numIndices();
-    require(n >= 1 && n <= 4,
-            "transform enumeration supports 1 to 4 iterators");
-    std::int64_t range = options.maxCoeff - options.minCoeff + 1;
-    require(range >= 2, "coefficient range must span at least two values");
-
-    auto recurrences = spec.recurrences();
-
-    std::int64_t cells = std::int64_t(n) * n;
-    std::int64_t total = 1;
-    for (std::int64_t c = 0; c < cells; c++) {
-        total *= range;
-        if (total > kMaxMaterializedCodes) {
-            fatal("transform enumeration space too large; narrow the "
-                  "coefficient range");
-        }
-    }
-
-    std::vector<SpaceTimeTransform> found;
-    std::set<std::vector<std::int64_t>> signatures;
-    for (std::int64_t code = 0; code < total; code++) {
-        auto candidate = candidateAt(code, n, options.minCoeff, range,
-                                     recurrences, options);
-        if (!candidate)
-            continue;
-        if (!signatures.insert(candidate->signature).second)
-            continue; // same displacement structure as before
-        found.emplace_back(std::move(candidate->matrix),
-                           "enumerated-" + std::to_string(found.size()));
-        if (found.size() >= options.limit)
-            break;
-    }
-    return found;
-}
 
 struct CandidateDecoder::Impl : ScanContext
 {

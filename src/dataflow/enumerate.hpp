@@ -224,33 +224,14 @@ void forEachTransform(const func::FunctionalSpec &spec,
                       EnumerateStats *stats = nullptr,
                       AnnotatorFactory annotators = {});
 
-/**
- * Enumerate causal, invertible space-time transforms for a functional
- * spec, deduplicated by their recurrence displacement signatures.
- * Materializing wrapper over the stream; keeps the historical cap on
- * spaces too large to materialize.
- */
-std::vector<SpaceTimeTransform> enumerateTransforms(
-        const func::FunctionalSpec &spec, const EnumerateOptions &options,
-        EnumerateStats *stats = nullptr);
-
 namespace detail
 {
 
 /**
- * The pre-streaming serial enumerator, kept verbatim as the
- * differential oracle for the stream: a plain early-exit walk over
- * every code. Ignores `options.threads` and `options.orbitCanonical`.
- * It lives in the library rather than in tests/ because the
- * `stellar_fuzz` enumerate domain links it.
- */
-std::vector<SpaceTimeTransform> enumerateTransformsOracle(
-        const func::FunctionalSpec &spec, const EnumerateOptions &options);
-
-/**
  * The one decode entry point outside the scan (the shard-records merge,
- * the fuzz orbit oracle): built once per (spec, options), then each
- * `decode` runs the scan's own per-candidate filters on one code.
+ * and the orbit-completeness checks of the tests and the fuzz harness):
+ * built once per (spec, options), then each `decode` runs the scan's
+ * own per-candidate filters on one code.
  */
 class CandidateDecoder
 {

@@ -33,6 +33,7 @@
 #include "dataflow/enumerate.hpp"
 #include "func/library.hpp"
 #include "sparsity/skip.hpp"
+#include "testkit/oracles.hpp"
 #include "util/watchdog.hpp"
 
 namespace stellar
@@ -121,8 +122,8 @@ TEST(AnalyticCost, ScoreIsBitIdenticalToElaboratedScore)
                                        scenario.sparsity,
                                        options.dataWidth, options.macBits,
                                        area_params, timing_params);
-        auto transforms = dataflow::enumerateTransforms(scenario.spec,
-                                                        options.enumerate);
+        auto transforms = testkit::collectTransforms(scenario.spec,
+                                                     options.enumerate);
         for (const auto &candidate : full) {
             auto analytic =
                     model.score(transforms[candidate.enumIndex]);

@@ -11,6 +11,7 @@
 #include "accel/dse.hpp"
 #include "dataflow/enumerate.hpp"
 #include "func/library.hpp"
+#include "testkit/oracles.hpp"
 #include "util/logging.hpp"
 
 namespace stellar::dataflow
@@ -22,7 +23,7 @@ TEST(Enumerate, AllResultsAreInvertibleAndCausal)
 {
     auto spec = func::matmulSpec();
     EnumerateOptions options;
-    auto transforms = enumerateTransforms(spec, options);
+    auto transforms = testkit::collectTransforms(spec, options);
     ASSERT_FALSE(transforms.empty());
     for (const auto &t : transforms) {
         EXPECT_TRUE(t.matrix().isInvertible());
@@ -37,7 +38,7 @@ TEST(Enumerate, CoversClassicDataflowSignatures)
     // stationary operand and two unit-hop moving operands.
     auto spec = func::matmulSpec();
     EnumerateOptions options;
-    auto transforms = enumerateTransforms(spec, options);
+    auto transforms = testkit::collectTransforms(spec, options);
     auto recurrences = spec.recurrences();
     bool found_os_like = false;
     for (const auto &t : transforms) {
@@ -60,7 +61,7 @@ TEST(Enumerate, HopLengthConstraintIsRespected)
     auto spec = func::matmulSpec();
     EnumerateOptions options;
     options.maxHopLength = 1;
-    auto transforms = enumerateTransforms(spec, options);
+    auto transforms = testkit::collectTransforms(spec, options);
     for (const auto &t : transforms)
         for (const auto &rec : spec.recurrences())
             EXPECT_LE(vecL1(t.deltaOf(rec.diff).space), 1);
@@ -71,7 +72,7 @@ TEST(Enumerate, BroadcastExclusionWorks)
     auto spec = func::matmulSpec();
     EnumerateOptions options;
     options.allowBroadcast = false;
-    auto transforms = enumerateTransforms(spec, options);
+    auto transforms = testkit::collectTransforms(spec, options);
     ASSERT_FALSE(transforms.empty());
     for (const auto &t : transforms)
         for (const auto &rec : spec.recurrences())
@@ -82,7 +83,7 @@ TEST(Enumerate, SignaturesAreUnique)
 {
     auto spec = func::matmulSpec();
     EnumerateOptions options;
-    auto transforms = enumerateTransforms(spec, options);
+    auto transforms = testkit::collectTransforms(spec, options);
     // Dedup means the count is far below the raw invertible-matrix count
     // (3^9 = 19683 raw matrices).
     EXPECT_LT(transforms.size(), 600u);
@@ -95,7 +96,7 @@ TEST(Enumerate, RejectsHugeSpaces)
     EnumerateOptions options;
     options.minCoeff = -10;
     options.maxCoeff = 10;
-    EXPECT_THROW(enumerateTransforms(spec, options), FatalError);
+    EXPECT_THROW(testkit::collectTransforms(spec, options), FatalError);
 }
 
 TEST(Dse, RankingIsSortedAndComplete)
@@ -124,7 +125,7 @@ TEST(Dse, MergeSpecExploresOneDimension)
     // tiny but must still work.
     auto spec = func::mergeSpec();
     EnumerateOptions options;
-    auto transforms = enumerateTransforms(spec, options);
+    auto transforms = testkit::collectTransforms(spec, options);
     ASSERT_FALSE(transforms.empty());
     for (const auto &t : transforms)
         EXPECT_EQ(t.dims(), 1);

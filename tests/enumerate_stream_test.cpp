@@ -23,6 +23,7 @@
 #include "accel/dse.hpp"
 #include "dataflow/enumerate.hpp"
 #include "func/library.hpp"
+#include "testkit/oracles.hpp"
 #include "util/strings.hpp"
 
 namespace stellar
@@ -148,8 +149,8 @@ TEST(EnumerateStream, MatchesOracleByteForByteAtEveryThreadCount)
         SCOPED_TRACE(scenario.label);
         auto oracle_options = scenario.options;
         oracle_options.threads = 1;
-        auto oracle = dataflow::detail::enumerateTransformsOracle(
-                scenario.spec, oracle_options);
+        auto oracle = testkit::enumerateTransformsOracle(scenario.spec,
+                                                         oracle_options);
 
         dataflow::EnumerateStats serial_stats;
         for (std::size_t threads : {1u, 2u, 4u}) {
@@ -159,8 +160,8 @@ TEST(EnumerateStream, MatchesOracleByteForByteAtEveryThreadCount)
                 options.threads = threads;
                 options.orbitCanonical = orbit;
                 dataflow::EnumerateStats stats;
-                auto streamed = dataflow::enumerateTransforms(
-                        scenario.spec, options, &stats);
+                auto streamed = testkit::collectTransforms(scenario.spec,
+                                                           options, &stats);
                 expectSameTransforms(streamed, oracle);
                 expectStatsInvariants(stats, streamed.size());
                 if (!orbit) {
@@ -277,7 +278,7 @@ TEST(EnumerateStream, CountersMatchTheDecodeEverythingOracle)
                         SCOPED_TRACE("threads " + std::to_string(threads));
                         options.threads = threads;
                         dataflow::EnumerateStats got;
-                        auto streamed = dataflow::enumerateTransforms(
+                        auto streamed = testkit::collectTransforms(
                                 scenario.spec, options, &got);
                         expectStatsInvariants(got, streamed.size());
                         EXPECT_EQ(got.codesTotal, want.codesTotal);
@@ -339,8 +340,8 @@ TEST(EnumerateStream, ShardEdgesAnywhereAccountExactly)
                                              total * index / shards,
                                              total * (index + 1) / shards);
                 dataflow::EnumerateStats got;
-                auto streamed = dataflow::enumerateTransforms(space.spec,
-                                                              options, &got);
+                auto streamed = testkit::collectTransforms(space.spec,
+                                                           options, &got);
                 expectStatsInvariants(got, streamed.size());
                 EXPECT_EQ(got.orbitSkipped, want.orbitSkipped);
                 EXPECT_EQ(got.duplicates, want.duplicates);
@@ -596,7 +597,7 @@ TEST(EnumerateStream, LimitSemanticsAreExactlySerialAtEveryThreadCount)
     base.maxHopLength = 2;
     base.limit = 1u << 20;
     base.threads = 1;
-    auto all = dataflow::detail::enumerateTransformsOracle(spec, base);
+    auto all = testkit::enumerateTransformsOracle(spec, base);
     ASSERT_GT(all.size(), 8u);
 
     const std::size_t limits[] = {1, 2, 7, all.size(), 1u << 20};
@@ -613,7 +614,7 @@ TEST(EnumerateStream, LimitSemanticsAreExactlySerialAtEveryThreadCount)
                 all.begin() +
                         std::ptrdiff_t(std::min(limit, all.size())));
         if (limit <= 7)
-            expectSameTransforms(dataflow::detail::enumerateTransformsOracle(
+            expectSameTransforms(testkit::enumerateTransformsOracle(
                                          spec, oracle_options),
                                  oracle);
         EXPECT_EQ(oracle.size(), std::min(limit, all.size()));
@@ -624,8 +625,8 @@ TEST(EnumerateStream, LimitSemanticsAreExactlySerialAtEveryThreadCount)
             auto options = oracle_options;
             options.threads = threads;
             dataflow::EnumerateStats stats;
-            auto streamed = dataflow::enumerateTransforms(spec, options,
-                                                          &stats);
+            auto streamed = testkit::collectTransforms(spec, options,
+                                                       &stats);
             expectSameTransforms(streamed, oracle);
             expectStatsInvariants(stats, streamed.size());
             if (threads == 1)

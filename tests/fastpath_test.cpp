@@ -1,7 +1,8 @@
 /**
  * @file
  * Property tests for the DSE fast paths: the fused single-pass
- * applyTransform must match the naive multi-walk oracle field by field,
+ * applyTransform must match the naive multi-walk oracle field by field
+ * on flat and hashed tables alike, and refuse a saturating transform,
  * the analytic probe must match elaborated counts exactly, sharded
  * enumeration must be byte-identical to the serial scan, the batched
  * watchdog must stay budget-exact, and the analytic maxPes prune must
@@ -22,6 +23,8 @@
 #include "dataflow/enumerate.hpp"
 #include "func/library.hpp"
 #include "sparsity/skip.hpp"
+#include "testkit/oracles.hpp"
+#include "util/logging.hpp"
 #include "util/saturate.hpp"
 #include "util/watchdog.hpp"
 
@@ -29,6 +32,18 @@ namespace stellar
 {
 namespace
 {
+
+/** CSR B on matmul: prunes the accumulation conn, so the walk sees a
+ *  space whose alive conns differ from the dense one. */
+sparsity::SparsitySpec
+csrB(const func::FunctionalSpec &matmul)
+{
+    sparsity::SparsitySpec spec;
+    spec.add(sparsity::skipWhenZero(
+            1, matmul.tensorIdByName("B"),
+            {func::makeIndexExpr(2), func::makeIndexExpr(1)}));
+    return spec;
+}
 
 /** The randomized scenarios shared by the fused and analytic checks. */
 struct Scenario
@@ -52,17 +67,33 @@ scenarios(int seeds)
         std::uniform_int_distribution<std::int64_t> bound(2, 5);
         for (int i = 0; i < s.spec.numIndices(); i++)
             s.bounds.push_back(bound(rng));
-        if (seed % 3 == 0 && seed % 2 == 1) {
-            // CSR B on matmul: prunes the accumulation conn, so the
-            // walk sees a space whose alive conns differ from the
-            // dense one.
-            s.sparsity.add(sparsity::skipWhenZero(
-                    1, s.spec.tensorIdByName("B"),
-                    {func::makeIndexExpr(2), func::makeIndexExpr(1)}));
-        }
+        if (seed % 3 == 0 && seed % 2 == 1)
+            s.sparsity = csrB(s.spec);
         result.push_back(std::move(s));
     }
     return result;
+}
+
+/** Slots a flat walk table may hold; larger boxes are keyed by hash. */
+constexpr std::int64_t kFlatSlots = std::int64_t(1) << 21;
+
+/**
+ * Unsaturated matmul transforms whose spatial image box (the first
+ * two) or time range (the last) of a 4x4x4 space exceeds kFlatSlots,
+ * so applyTransform walks them with hashed tables.
+ */
+std::vector<dataflow::SpaceTimeTransform>
+nonDenseTransforms()
+{
+    using dataflow::SpaceTimeTransform;
+    return {SpaceTimeTransform(
+                    IntMatrix{{1000, 1, 0}, {0, 1000, 1}, {1, 1, 1}}, "wide"),
+            SpaceTimeTransform(
+                    IntMatrix{{1000, -1, 0}, {0, 1, -1000}, {1, 1, 1}},
+                    "wide-signed"),
+            SpaceTimeTransform(
+                    IntMatrix{{1, 0, 0}, {0, 1, 0}, {1, 1, 1000000}},
+                    "long")};
 }
 
 void
@@ -114,16 +145,75 @@ TEST(FastPath, FusedMatchesNaiveOnEnumeratedTransforms)
         en.limit = 24;
         en.threads = 1;
         for (const auto &t :
-             dataflow::enumerateTransforms(scenario.spec, en)) {
+             testkit::collectTransforms(scenario.spec, en)) {
             SCOPED_TRACE(t.matrix().toString() + " bounds " +
                          vecToString(scenario.bounds));
             expectSameArray(core::applyTransform(space, t),
-                            core::applyTransformNaive(space, t));
+                            testkit::applyTransformNaive(space, t));
             transforms_checked++;
         }
     }
     // The property is vacuous if enumeration found nothing.
     EXPECT_GT(transforms_checked, 100);
+
+    // Boxes too large for flat tables, on the dense and CSR-B spaces.
+    auto matmul = func::matmulSpec();
+    IntVec bounds = {4, 4, 4};
+    for (bool sparse_b : {false, true}) {
+        auto space = core::elaborate(matmul, bounds);
+        if (sparse_b)
+            core::applySparsity(space, csrB(matmul));
+        for (const auto &t : nonDenseTransforms()) {
+            SCOPED_TRACE(t.name() + (sparse_b ? " csr-b" : " dense"));
+            auto probe = accel::analyticProbe(t, bounds, space);
+            ASSERT_FALSE(probe.saturated);
+            std::int64_t box = 1;
+            for (std::int64_t extent : probe.extents)
+                box *= extent;
+            EXPECT_TRUE(box > kFlatSlots ||
+                        probe.scheduleLength > kFlatSlots)
+                    << "box " << box << ", steps " << probe.scheduleLength;
+            expectSameArray(core::applyTransform(space, t),
+                            testkit::applyTransformNaive(space, t));
+        }
+    }
+}
+
+TEST(FastPath, SaturatedGeometryIsRejectedBeforeAnyWalk)
+{
+    // Each transform reaches 3 * 2^62 on one row of a 4x4x4 box, so a
+    // walk would overflow a position or a timestep: the array and the
+    // access order both refuse it up front.
+    std::int64_t huge = std::int64_t(1) << 62;
+    auto matmul = func::matmulSpec();
+    auto space = core::elaborate(matmul, {4, 4, 4});
+    int a = matmul.tensorIdByName("A");
+    for (const auto &t : {dataflow::SpaceTimeTransform(
+                                  IntMatrix{{huge, 0, 0}, {0, 1, 0},
+                                            {1, 1, 1}},
+                                  "wide"),
+                          dataflow::SpaceTimeTransform(
+                                  IntMatrix{{1, 0, 0}, {0, 1, 0},
+                                            {huge, 1, 1}},
+                                  "late")}) {
+        SCOPED_TRACE(t.name());
+        EXPECT_THROW(core::applyTransform(space, t), FatalError);
+        EXPECT_THROW(core::arrayAccessOrder(space, t, a), FatalError);
+    }
+}
+
+TEST(FastPath, HashedWalkExpiresBudgetExact)
+{
+    // The hashed walk charges one step per point, like the flat one.
+    auto space = core::elaborate(func::matmulSpec(), {8, 8, 8});
+    const auto t = nonDenseTransforms().front();
+    {
+        util::WatchdogScope scope("walk", 100);
+        EXPECT_THROW(core::applyTransform(space, t), util::TimeoutError);
+    }
+    util::WatchdogScope scope("walk", 512);
+    EXPECT_EQ(core::applyTransform(space, t).numPes(), 512);
+    EXPECT_EQ(util::currentWatchdog()->stepsExecuted(), 512);
 }
 
 TEST(FastPath, AnalyticMatchesElaboratedCounts)
@@ -135,7 +225,7 @@ TEST(FastPath, AnalyticMatchesElaboratedCounts)
         en.limit = 24;
         en.threads = 1;
         for (const auto &t :
-             dataflow::enumerateTransforms(scenario.spec, en)) {
+             testkit::collectTransforms(scenario.spec, en)) {
             SCOPED_TRACE(t.matrix().toString() + " bounds " +
                          vecToString(scenario.bounds));
             auto array = core::applyTransform(space, t);
@@ -172,12 +262,12 @@ TEST(FastPath, EnumerationShardingIsByteIdentical)
         dataflow::EnumerateOptions serial;
         serial.threads = 1;
         serial.limit = limit;
-        auto expected = dataflow::enumerateTransforms(spec, serial);
+        auto expected = testkit::collectTransforms(spec, serial);
         ASSERT_FALSE(expected.empty());
         for (std::size_t threads : {2u, 4u}) {
             dataflow::EnumerateOptions sharded = serial;
             sharded.threads = threads;
-            auto got = dataflow::enumerateTransforms(spec, sharded);
+            auto got = testkit::collectTransforms(spec, sharded);
             ASSERT_EQ(got.size(), expected.size())
                     << threads << " threads, limit " << limit;
             for (std::size_t i = 0; i < got.size(); i++) {

@@ -20,16 +20,16 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "testkit/fuzz.hpp"
 #include "util/failure.hpp"
-#include "util/fuzz.hpp"
 
 namespace
 {
 
 using namespace stellar;
-using util::fuzz::FuzzDomain;
-using util::fuzz::FuzzOptions;
-using util::fuzz::FuzzReport;
+using fuzz::FuzzDomain;
+using fuzz::FuzzOptions;
+using fuzz::FuzzReport;
 
 std::size_t
 classifiedTotal(const FuzzReport &report)
@@ -43,7 +43,7 @@ TEST(Fuzz, InvariantHoldsAcrossAllDomains)
     FuzzOptions options;
     options.iterations = 150;
     options.seed = 1;
-    auto report = util::fuzz::runFuzz(options);
+    auto report = fuzz::runFuzz(options);
     EXPECT_TRUE(report.ok()) << report.toString();
     EXPECT_EQ(report.iterations, 150u);
     // Every iteration lands in exactly one bucket.
@@ -63,13 +63,13 @@ TEST(Fuzz, InvariantHoldsPerDomain)
         options.iterations = 60;
         options.seed = 7;
         options.domains = {domain};
-        auto report = util::fuzz::runFuzz(options);
+        auto report = fuzz::runFuzz(options);
         EXPECT_TRUE(report.ok())
-                << util::fuzz::fuzzDomainName(domain) << ": "
+                << fuzz::fuzzDomainName(domain) << ": "
                 << report.toString();
         EXPECT_EQ(report.succeeded + classifiedTotal(report),
                   report.iterations)
-                << util::fuzz::fuzzDomainName(domain);
+                << fuzz::fuzzDomainName(domain);
     }
 }
 
@@ -78,8 +78,8 @@ TEST(Fuzz, SameSeedIsDeterministic)
     FuzzOptions options;
     options.iterations = 40;
     options.seed = 99;
-    auto a = util::fuzz::runFuzz(options);
-    auto b = util::fuzz::runFuzz(options);
+    auto a = fuzz::runFuzz(options);
+    auto b = fuzz::runFuzz(options);
     EXPECT_EQ(a.succeeded, b.succeeded);
     EXPECT_EQ(a.outcomes, b.outcomes);
     EXPECT_EQ(a.violations.size(), b.violations.size());
@@ -90,9 +90,9 @@ TEST(Fuzz, DifferentSeedsExploreDifferentInputs)
     FuzzOptions options;
     options.iterations = 80;
     options.seed = 1;
-    auto a = util::fuzz::runFuzz(options);
+    auto a = fuzz::runFuzz(options);
     options.seed = 2;
-    auto b = util::fuzz::runFuzz(options);
+    auto b = fuzz::runFuzz(options);
     // Not a hard guarantee for tiny runs, but with 80 mixed inputs the
     // outcome tallies collide only if the generator ignores the seed.
     EXPECT_NE(a.outcomes, b.outcomes);
@@ -111,7 +111,7 @@ TEST(Fuzz, MinimizeLinesReachesFixedPoint)
     auto still_fails = [](const std::string &text) {
         return text.find("MARKER") != std::string::npos;
     };
-    auto minimized = util::fuzz::minimizeLines(input, still_fails);
+    auto minimized = fuzz::minimizeLines(input, still_fails);
     EXPECT_TRUE(still_fails(minimized));
     EXPECT_EQ(minimized, "MARKER\n");
 }
@@ -124,7 +124,7 @@ TEST(Fuzz, MinimizeLinesKeepsFailingInputWhenIrreducible)
                text.find("omega") != std::string::npos;
     };
     auto minimized =
-            util::fuzz::minimizeLines("alpha\nmiddle\nomega\n", still_fails);
+            fuzz::minimizeLines("alpha\nmiddle\nomega\n", still_fails);
     EXPECT_TRUE(still_fails(minimized));
     EXPECT_EQ(minimized, "alpha\nomega\n");
 }
@@ -146,7 +146,7 @@ TEST(Fuzz, OracleViolationIsMinimizedAndDumped)
         if (!text.empty())
             throw std::runtime_error("planted unclassified failure");
     };
-    auto report = util::fuzz::runFuzz(options);
+    auto report = fuzz::runFuzz(options);
 
     EXPECT_FALSE(report.ok());
     ASSERT_EQ(report.violations.size(), 6u);
@@ -183,7 +183,7 @@ TEST(Fuzz, OracleClassifiedFailureIsNotAViolation)
     options.mtxOracle = [](const std::string &) {
         throw FatalError("classified rejection");
     };
-    auto report = util::fuzz::runFuzz(options);
+    auto report = fuzz::runFuzz(options);
     EXPECT_TRUE(report.ok()) << report.toString();
     EXPECT_EQ(report.outcomes[std::size_t(util::FailureKind::UserSpec)],
               5u);
@@ -201,7 +201,7 @@ TEST(Fuzz, RequestOracleGibberishIsAViolation)
     options.requestOracle = [](const std::string &) {
         return std::string("not a response");
     };
-    auto report = util::fuzz::runFuzz(options);
+    auto report = fuzz::runFuzz(options);
     EXPECT_FALSE(report.ok());
     EXPECT_EQ(report.violations.size(), 3u);
     EXPECT_EQ(report.outcomes[std::size_t(util::FailureKind::Unknown)],
@@ -222,7 +222,7 @@ TEST(Fuzz, RequestOracleUnknownKindIsAViolation)
                 "\"unknown\",\"stage\":\"s\",\"candidate\":\"\","
                 "\"message\":\"m\"}}");
     };
-    auto report = util::fuzz::runFuzz(options);
+    auto report = fuzz::runFuzz(options);
     EXPECT_FALSE(report.ok());
     EXPECT_EQ(report.violations.size(), 2u);
 }
@@ -239,7 +239,7 @@ TEST(Fuzz, RequestOracleClassifiedErrorIsNotAViolation)
                 "\"user-spec\",\"stage\":\"serve.request\","
                 "\"candidate\":\"\",\"message\":\"rejected\"}}");
     };
-    auto report = util::fuzz::runFuzz(options);
+    auto report = fuzz::runFuzz(options);
     EXPECT_TRUE(report.ok()) << report.toString();
     EXPECT_EQ(report.outcomes[std::size_t(util::FailureKind::UserSpec)],
               4u);
@@ -250,7 +250,7 @@ TEST(Fuzz, ReportToStringNamesEveryBucket)
     FuzzOptions options;
     options.iterations = 30;
     options.seed = 1;
-    auto report = util::fuzz::runFuzz(options);
+    auto report = fuzz::runFuzz(options);
     auto text = report.toString();
     EXPECT_NE(text.find("30 iterations"), std::string::npos);
     EXPECT_NE(text.find("user-spec"), std::string::npos);

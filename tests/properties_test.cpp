@@ -18,6 +18,7 @@
 #include "rtl/generate.hpp"
 #include "rtl/lint.hpp"
 #include "sparsity/skip.hpp"
+#include "testkit/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace stellar::core
@@ -110,7 +111,7 @@ TEST_P(TransformProperties, FoldingConservation)
     auto spec = func::matmulSpec();
     dataflow::EnumerateOptions options;
     options.limit = 64;
-    auto transforms = dataflow::enumerateTransforms(spec, options);
+    auto transforms = testkit::collectTransforms(spec, options);
     Rng rng(std::uint64_t(GetParam()) * 31 + 1);
     IntVec bounds = {rng.nextRange(2, 4), rng.nextRange(2, 4),
                      rng.nextRange(2, 4)};
