@@ -11,6 +11,13 @@
 namespace stellar::sim
 {
 
+DramModel::DramModel(DramConfig config) : config_(config)
+{
+    require(config_.latency >= 0, "DramConfig::latency must not be negative");
+    require(config_.maxOutstanding >= 1,
+            "DramConfig::maxOutstanding must be at least 1");
+}
+
 std::int64_t
 DramModel::outstanding(std::int64_t now) const
 {
@@ -57,6 +64,8 @@ TransferResult
 transfer(const DmaConfig &dma, DramModel &dram, std::size_t count,
          ChunkAt chunk_at, std::int64_t start_cycle)
 {
+    require(dma.reqsPerCycle >= 1,
+            "DmaConfig::reqsPerCycle must be at least 1");
     TransferResult result;
     std::int64_t now = start_cycle;
 
@@ -171,6 +180,14 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
                  const std::vector<TransferChunk> &chunks,
                  std::int64_t start_cycle)
 {
+    // A pointer-chased chunk with no context to track it never issues.
+    require(dma.pointerContexts >= 1 ||
+                    std::none_of(chunks.begin(), chunks.end(),
+                                 [](const TransferChunk &chunk) {
+                                     return chunk.pointerChased;
+                                 }),
+            "DmaConfig::pointerContexts must be at least 1 for a "
+            "pointer-chased transfer");
     return transfer(
             dma, dram, chunks.size(),
             [&](std::size_t i) { return chunks[i]; }, start_cycle);

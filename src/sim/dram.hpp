@@ -35,7 +35,9 @@ struct DramConfig
 class DramModel
 {
   public:
-    explicit DramModel(DramConfig config) : config_(config) {}
+    /** Throws FatalError naming the field out of range: a negative
+     *  latency, or an in-flight cap below 1 (no request would issue). */
+    explicit DramModel(DramConfig config);
 
     const DramConfig &config() const { return config_; }
 
@@ -114,7 +116,9 @@ struct TransferResult
 /**
  * Cycle-accurate simulation of a DMA moving the given chunks through
  * DRAM. Chunks are independent of each other; within a pointer-chased
- * chunk the data request depends on its pointer load.
+ * chunk the data request depends on its pointer load. Throws FatalError
+ * when `dma.reqsPerCycle` is below 1, or `dma.pointerContexts` is below
+ * 1 and a chunk is pointer-chased: either would never issue.
  */
 TransferResult simulateTransfer(const DmaConfig &dma, DramModel &dram,
                                 const std::vector<TransferChunk> &chunks,

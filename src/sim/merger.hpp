@@ -13,6 +13,14 @@
  * matrices produced by consecutive outer products are merged pairwise in
  * rounds until one matrix remains. Every partial's rowIds must be
  * strictly increasing; a merge rejects any other order as a FatalError.
+ * A row both sides of a pair hold must have strictly increasing coords
+ * on each side.
+ *
+ * The cycle models only count elements, so a merge walks coordinates
+ * and never reads or sums a value. A config field the model divides by
+ * or loops over (`lanes` for row-partitioned runs, `throughput` for
+ * flattened and hierarchical ones) must be at least 1, or the run
+ * raises a FatalError naming it.
  */
 
 #ifndef STELLAR_SIM_MERGER_HPP
@@ -62,10 +70,6 @@ MergerResult mergePairRowPartitioned(const MergerConfig &config,
 MergerResult mergePairFlattened(const MergerConfig &config,
                                 const sparse::PartialMatrix &a,
                                 const sparse::PartialMatrix &b);
-
-/** Functionally merge two partial matrices (golden reference). */
-sparse::PartialMatrix mergePartialPair(const sparse::PartialMatrix &a,
-                                       const sparse::PartialMatrix &b);
 
 /** Which merger micro-architecture to simulate. */
 enum class MergerKind { RowPartitioned, Flattened };

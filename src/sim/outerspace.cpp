@@ -25,6 +25,10 @@ OuterSpaceResult
 simulateOuterSpace(const OuterSpaceConfig &config,
                    const sparse::CsrMatrix &a)
 {
+    require(config.workGroups >= 1,
+            "OuterSpaceConfig::workGroups must be at least 1");
+    require(config.mergeLanes >= 1,
+            "OuterSpaceConfig::mergeLanes must be at least 1");
     OuterSpaceResult result;
     result.multiplies = sparse::spgemmMultiplies(a, a);
 
@@ -92,9 +96,20 @@ simulateOuterSpace(const OuterSpaceConfig &config,
     result.dramBytes += multiply_dram.bytesTransferred();
 
     // ---- Merge phase ----
-    DramModel merge_dram(config.dram);
     // Gather the scattered partial vectors back (pointer-chased reads).
-    auto gather = simulateTransfer(config.dma, merge_dram, scatter);
+    // The gather is the scatter's chunk list on an idle DRAM, and the
+    // scatter ran on an idle DRAM too: it starts at the A stream's
+    // `cycles`, which is at or after every completion the stream issued
+    // (latency >= 0 puts the bandwidth cursor at or before the last
+    // completion), so nothing is in flight and nothing holds bandwidth
+    // from then on. The transfer loop only compares cycles with each
+    // other, so starting it later shifts every cycle it visits by the
+    // same amount and leaves its TransferResult as it is. The gather's
+    // result is therefore the scatter's; its bytes are counted here,
+    // since merge_dram never sees them. The same argument lets the
+    // write-out run on a fresh DRAM from `gather.cycles`.
+    const TransferResult &gather = scatter_out;
+    DramModel merge_dram(config.dram);
     // Write the final merged matrix out as a stream. Use the partial
     // element count as an upper bound on the result size.
     auto write_out = simulateStream(config.dma, merge_dram,
@@ -108,7 +123,7 @@ simulateOuterSpace(const OuterSpaceConfig &config,
     result.mergePhaseCycles = std::max(merge_mem, merge_compute);
     result.pointerRequests += std::int64_t(scatter.size());
     result.pointerStallCycles += gather.pointerStallCycles;
-    result.dramBytes += merge_dram.bytesTransferred();
+    result.dramBytes += gather.bytes + merge_dram.bytesTransferred();
 
     result.cycles = result.multiplyPhaseCycles + result.mergePhaseCycles;
     return result;

@@ -66,7 +66,11 @@ struct OuterSpaceResult
     double gflops(double freq_ghz) const;
 };
 
-/** Simulate C = A * A (the squaring workload OuterSPACE reports). */
+/**
+ * Simulate C = A * A (the squaring workload OuterSPACE reports). Throws
+ * FatalError when `workGroups` or `mergeLanes` is below 1, or the DRAM
+ * or DMA config is one the transfer loop rejects.
+ */
 OuterSpaceResult simulateOuterSpace(const OuterSpaceConfig &config,
                                     const sparse::CsrMatrix &a);
 

@@ -4,10 +4,12 @@
  *
  * The DMA transfer loop keeps its in-flight and pending-pointer queues as
  * FIFOs and reads streamed bursts through an accessor; the merger walks
- * each pair's sorted rowIds once. Both rest on ordering arguments, so
- * the map- and scan-based implementations they replaced live on here,
- * copied verbatim minus their watchdog and fault-injection hooks, and
- * every result is compared exactly on seeded random inputs.
+ * each pair's sorted rowIds and coordinates once, into flat buffers;
+ * OuterSPACE reuses its scatter's transfer for the gather. Each rests on
+ * an ordering or shift-invariance argument, so the map-, scan- and
+ * two-transfer implementations they replaced live on here, copied
+ * verbatim minus their watchdog and fault-injection hooks, and every
+ * result is compared exactly on seeded random inputs and edge shapes.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +21,12 @@
 #include <vector>
 
 #include "sim/dram.hpp"
+#include "sim/balance.hpp"
 #include "sim/merger.hpp"
+#include "sim/outerspace.hpp"
 #include "sparse/spgemm.hpp"
+#include "sparse/suitesparse.hpp"
+#include "testkit/oracles.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -483,7 +489,7 @@ TEST(MergerOracle, PairFunctionsMatchMapMerge)
         const std::int64_t rows = rng.nextRange(0, 30);
         auto a = randomPartial(rng, rows);
         auto b = randomPartial(rng, rng.nextRange(0, 30));
-        expectSamePartial(mergePartialPair(a, b),
+        expectSamePartial(testkit::mergePartialPair(a, b),
                           oracleMergePartialPair(a, b));
         expectSameResult(mergePairRowPartitioned(config, a, b),
                          oracleRowPartitioned(config, a, b));
@@ -519,6 +525,321 @@ TEST(MergerOracle, SchedulesMatchMapMerge)
             }
         }
     }
+}
+
+/** A partial holding `coords` in each of the rows `rows`. */
+sparse::PartialMatrix
+uniformPartial(const std::vector<std::int64_t> &rows,
+               const std::vector<std::int64_t> &coords)
+{
+    sparse::PartialMatrix partial;
+    for (auto row : rows) {
+        partial.rowIds.push_back(row);
+        partial.rowFibers.push_back(sparse::Fiber{
+                coords, std::vector<double>(coords.size(), 1.0)});
+    }
+    return partial;
+}
+
+/** Every merger entry point against its oracle, at 1, 2, 3 and 32
+ *  lanes and two throughputs. */
+void
+expectMergersMatch(const std::vector<sparse::PartialMatrix> &partials)
+{
+    for (int lanes : {1, 2, 3, 32}) {
+        MergerConfig config;
+        config.lanes = lanes;
+        config.throughput = lanes == 3 ? 3 : 16;
+        SCOPED_TRACE(std::to_string(partials.size()) + " partials, " +
+                     std::to_string(lanes) + " lanes");
+        if (partials.size() == 2) {
+            expectSameResult(
+                    mergePairRowPartitioned(config, partials[0],
+                                            partials[1]),
+                    oracleRowPartitioned(config, partials[0], partials[1]));
+            expectSameResult(
+                    mergePairFlattened(config, partials[0], partials[1]),
+                    oracleFlattened(config, partials[0], partials[1]));
+        }
+        for (auto kind : {MergerKind::RowPartitioned, MergerKind::Flattened})
+            expectSameResult(runMergeSchedule(config, kind, partials),
+                             oracleMergeSchedule(config, kind, partials));
+        for (int ways : {2, 3, 4, 8})
+            expectSameResult(
+                    runHierarchicalMerge(config, partials, ways),
+                    oracleHierarchicalMerge(config, partials, ways));
+    }
+}
+
+TEST(MergerOracle, EdgeShapedPairsMatchMapMerge)
+{
+    const sparse::PartialMatrix empty;
+    const auto evens = uniformPartial({0, 2, 4, 6}, {1, 5, 9});
+    const auto odds = uniformPartial({1, 3, 5}, {0, 2});
+    const auto even_coords = uniformPartial({0, 1, 2}, {0, 2, 4, 6});
+    const auto odd_coords = uniformPartial({0, 1, 2}, {1, 3, 5, 7});
+    // Five equal-length rows: fewer rows than 32 lanes, more than 1-3.
+    const auto equal_a = uniformPartial({0, 1, 2, 3, 4}, {0, 1, 2, 3});
+    const auto equal_b = uniformPartial({0, 1, 2, 3, 4}, {4, 5, 6, 7});
+    sparse::PartialMatrix mixed = uniformPartial({1, 4, 9}, {3});
+    mixed.rowFibers[1] = sparse::Fiber{{}, {}}; // an empty fiber
+
+    const std::vector<std::pair<sparse::PartialMatrix,
+                                sparse::PartialMatrix>> pairs = {
+            {empty, empty},
+            {empty, evens},
+            {odds, empty},
+            {evens, odds},             // every row on one side only
+            {evens, evens},            // fully overlapping fibers
+            {even_coords, odd_coords}, // disjoint fibers in shared rows
+            {equal_a, equal_b},
+            {equal_a, equal_a},
+            {mixed, evens},            // some rows shared, some not
+    };
+    for (std::size_t p = 0; p < pairs.size(); p++) {
+        SCOPED_TRACE("pair " + std::to_string(p));
+        expectMergersMatch({pairs[p].first, pairs[p].second});
+    }
+}
+
+TEST(MergerOracle, EdgeShapedListsMatchMapMerge)
+{
+    const sparse::PartialMatrix empty;
+    const auto a = uniformPartial({0, 2, 4}, {1, 5, 9});
+    const auto b = uniformPartial({1, 2, 3}, {5, 6});
+    const auto c = uniformPartial({4}, {0, 1, 2, 3, 4, 5, 6, 7, 8});
+    const std::vector<std::vector<sparse::PartialMatrix>> lists = {
+            {},
+            {a},
+            {empty},
+            {a, b, c},                   // odd count
+            {a, empty, b, c, empty},     // odd count with empty partials
+            {empty, empty, empty},
+            {a, a, a, a, a, a, a},       // fully overlapping, odd count
+            {a, b, c, a, b, c, a, b},
+    };
+    for (std::size_t l = 0; l < lists.size(); l++) {
+        SCOPED_TRACE("list " + std::to_string(l));
+        expectMergersMatch(lists[l]);
+    }
+}
+
+/** The what() of the exception `fn` throws, which must be an `E`. */
+template <typename E, typename Fn>
+std::string
+errorText(Fn fn)
+{
+    try {
+        fn();
+    } catch (const E &err) {
+        return err.what();
+    }
+    return "no error";
+}
+
+TEST(MergerOracle, ErrorTextsArePinned)
+{
+    const auto sorted = uniformPartial({1, 4}, {0, 2});
+    const auto unsorted_rows = uniformPartial({3, 2}, {0, 2});
+    const MergerConfig config;
+    EXPECT_EQ(errorText<FatalError>([&] {
+                  runMergeSchedule(config, MergerKind::Flattened,
+                                   {sorted, sorted, sorted, unsorted_rows});
+              }),
+              "stellar fatal: merge round with 4 partial matrices, pair at "
+              "2: partial-matrix rowIds must be strictly increasing, but "
+              "row 2 follows row 3");
+    EXPECT_EQ(errorText<FatalError>([&] {
+                  mergePairRowPartitioned(config, unsorted_rows, sorted);
+              }),
+              "stellar fatal: merged pair: partial-matrix rowIds must be "
+              "strictly increasing, but row 2 follows row 3");
+    EXPECT_EQ(errorText<FatalError>([&] {
+                  runHierarchicalMerge(config, {sorted, unsorted_rows}, 4);
+              }),
+              "stellar fatal: hierarchical merge group at 0, partial 1: "
+              "partial-matrix rowIds must be strictly increasing, but row 2 "
+              "follows row 3");
+
+    // Coords out of order in a row both sides hold: the merged row does
+    // not strictly increase. A repeated coordinate counts as unsorted.
+    const auto unsorted_coords = uniformPartial({4}, {7, 3});
+    const auto repeated_coords = uniformPartial({1}, {2, 2});
+    EXPECT_EQ(errorText<PanicError>([&] {
+                  mergePairFlattened(config, sorted, unsorted_coords);
+              }),
+              "stellar panic: merged pair: row 4 of both partials must "
+              "have strictly increasing coords");
+    EXPECT_EQ(errorText<PanicError>([&] {
+                  runMergeSchedule(config, MergerKind::RowPartitioned,
+                                   {repeated_coords, sorted});
+              }),
+              "stellar panic: merge round with 2 partial matrices, pair at "
+              "0: row 1 of both partials must have strictly increasing "
+              "coords");
+}
+
+// ---------------------------------------------------------------------
+// OuterSPACE oracle: the gather simulated as a second transfer
+
+/**
+ * simulateOuterSpace as it was while the merge phase simulated its
+ * gather again on a DRAM of its own, instead of reusing the scatter's
+ * TransferResult.
+ */
+OuterSpaceResult
+oracleOuterSpace(const OuterSpaceConfig &config, const sparse::CsrMatrix &a)
+{
+    OuterSpaceResult result;
+    result.multiplies = sparse::spgemmMultiplies(a, a);
+
+    // Column nonzero counts of A (the CSC view used by the outer product).
+    std::vector<std::int64_t> col_nnz(std::size_t(a.cols()), 0);
+    for (auto c : a.colIdx())
+        col_nnz[std::size_t(c)]++;
+
+    // Every nonzero A(i, k) produces one partial-sum fiber of length
+    // rowNnz(k), stored as a scattered vector reached through a pointer.
+    const std::int64_t elem_bytes = 12; // 8B value + 4B coordinate
+    std::vector<TransferChunk> scatter;
+    scatter.reserve(std::size_t(a.nnz()));
+    for (std::int64_t k = 0; k < a.cols(); k++) {
+        std::int64_t fiber_len = a.rowNnz(std::min(k, a.rows() - 1));
+        if (fiber_len == 0 || col_nnz[std::size_t(k)] == 0)
+            continue;
+        for (std::int64_t f = 0; f < col_nnz[std::size_t(k)]; f++) {
+            TransferChunk chunk;
+            chunk.bytes = fiber_len * elem_bytes;
+            chunk.pointerChased = true;
+            scatter.push_back(chunk);
+        }
+    }
+
+    // ---- Multiply phase ----
+    DramModel multiply_dram(config.dram);
+    // Stream A in twice (CSC for the left operand, CSR for the right).
+    std::int64_t a_bytes = a.nnz() * 12 + (a.rows() + 1) * 8;
+    auto a_read = simulateStream(config.dma, multiply_dram, 2 * a_bytes);
+    // Scatter the partial vectors out (pointer-chased writes).
+    auto scatter_out =
+            simulateTransfer(config.dma, multiply_dram, scatter,
+                             a_read.cycles);
+    std::int64_t multiply_mem = a_read.cycles + scatter_out.cycles;
+    // Compute side: columns of A are outer-product work items distributed
+    // across the PE groups; imbalanced columns strand groups unless the
+    // Listing 3-style balancer shifts work between waves (Fig 6).
+    std::vector<std::int64_t> column_work;
+    for (std::int64_t k = 0; k < a.cols(); k++) {
+        std::int64_t products =
+                col_nnz[std::size_t(k)] * a.rowNnz(std::min(k, a.rows() - 1));
+        if (products > 0)
+            column_work.push_back(
+                    (products + config.multipliers / config.workGroups - 1) /
+                    std::max(config.multipliers / config.workGroups, 1));
+    }
+    auto balance = simulateRowWaves(column_work, config.workGroups,
+                                    config.loadBalanced);
+    std::int64_t multiply_compute = balance.cycles;
+    result.balancerShifts = balance.shiftsApplied;
+    result.multiplyUtilization = balance.utilization;
+    result.multiplyPhaseCycles = std::max(multiply_mem, multiply_compute);
+    result.pointerRequests += std::int64_t(scatter.size());
+    result.pointerStallCycles += scatter_out.pointerStallCycles;
+    result.dramBytes += multiply_dram.bytesTransferred();
+
+    // ---- Merge phase ----
+    DramModel merge_dram(config.dram);
+    // Gather the scattered partial vectors back (pointer-chased reads).
+    auto gather = simulateTransfer(config.dma, merge_dram, scatter);
+    // Write the final merged matrix out as a stream. Use the partial
+    // element count as an upper bound on the result size.
+    auto write_out = simulateStream(config.dma, merge_dram,
+                                    result.multiplies * elem_bytes,
+                                    gather.cycles);
+    std::int64_t merge_mem = gather.cycles + write_out.cycles;
+    // Merge lanes consume one element per lane per cycle; imbalanced
+    // fibers leave some lanes idle (~20% on the matrices studied).
+    std::int64_t merge_compute = std::int64_t(
+            1.2 * double(result.multiplies) / double(config.mergeLanes));
+    result.mergePhaseCycles = std::max(merge_mem, merge_compute);
+    result.pointerRequests += std::int64_t(scatter.size());
+    result.pointerStallCycles += gather.pointerStallCycles;
+    result.dramBytes += merge_dram.bytesTransferred();
+
+    result.cycles = result.multiplyPhaseCycles + result.mergePhaseCycles;
+    return result;
+}
+
+void
+expectSameOuterSpace(const OuterSpaceResult &got,
+                     const OuterSpaceResult &want)
+{
+    EXPECT_EQ(got.multiplyPhaseCycles, want.multiplyPhaseCycles);
+    EXPECT_EQ(got.mergePhaseCycles, want.mergePhaseCycles);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.multiplies, want.multiplies);
+    EXPECT_EQ(got.dramBytes, want.dramBytes);
+    EXPECT_EQ(got.pointerRequests, want.pointerRequests);
+    EXPECT_EQ(got.pointerStallCycles, want.pointerStallCycles);
+    EXPECT_EQ(got.balancerShifts, want.balancerShifts);
+    // Bit-exact: the same arithmetic on the same inputs.
+    EXPECT_EQ(got.multiplyUtilization, want.multiplyUtilization);
+}
+
+/**
+ * The OuterSPACE suite at `nnz`, at DMA rates 1, 4 and 16, over four
+ * DRAMs, balanced and not. The DRAMs span the shift argument's edges: a
+ * zero latency (bandwidth cursor at the last completion) with one
+ * request in flight, a long latency with deep queues, and the default
+ * HBM with a short burst.
+ */
+void
+expectSuiteMatchesTwoTransfers(std::int64_t nnz)
+{
+    std::vector<DramConfig> drams(4, OuterSpaceConfig().dram);
+    drams[1].latency = 0;
+    drams[1].bytesPerCycle = 8;
+    drams[1].maxOutstanding = 1;
+    drams[1].minBurstBytes = 32;
+    drams[2].latency = 400;
+    drams[2].bytesPerCycle = 128;
+    drams[2].maxOutstanding = 256;
+    drams[2].minBurstBytes = 128;
+    drams[3].minBurstBytes = 16;
+    int runs = 0;
+    for (const auto &profile : sparse::outerSpaceSuite()) {
+        const auto matrix =
+                sparse::synthesize(sparse::scaleProfile(profile, nnz), 1);
+        for (int rate : {1, 4, 16}) {
+            for (std::size_t d = 0; d < drams.size(); d++) {
+                for (bool balanced : {true, false}) {
+                    SCOPED_TRACE(profile.name + " at " +
+                                 std::to_string(nnz) + " nnz, rate " +
+                                 std::to_string(rate) + ", dram " +
+                                 std::to_string(d) +
+                                 (balanced ? ", balanced" : ""));
+                    OuterSpaceConfig config;
+                    config.dma = DmaConfig::withRate(rate);
+                    config.dram = drams[d];
+                    config.loadBalanced = balanced;
+                    expectSameOuterSpace(simulateOuterSpace(config, matrix),
+                                         oracleOuterSpace(config, matrix));
+                    runs++;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(runs, 18 * 3 * 4 * 2);
+}
+
+TEST(OuterSpaceOracle, OneTransferMatchesTwoOnSuiteAt1500Nnz)
+{
+    expectSuiteMatchesTwoTransfers(1500);
+}
+
+TEST(OuterSpaceOracle, OneTransferMatchesTwoOnSuiteAt6000Nnz)
+{
+    expectSuiteMatchesTwoTransfers(6000);
 }
 
 } // namespace

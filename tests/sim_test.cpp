@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <string>
+
 #include "sim/balance.hpp"
 #include "sim/dram.hpp"
 #include "sim/merger.hpp"
@@ -16,6 +19,7 @@
 #include "sim/scratchpad.hpp"
 #include "sim/systolic.hpp"
 #include "sparse/suitesparse.hpp"
+#include "testkit/oracles.hpp"
 #include "util/failure.hpp"
 #include "util/rng.hpp"
 
@@ -283,7 +287,7 @@ TEST(Merger, PairMergeMatchesFiberMerge)
     b.rowIds = {0, 1};
     b.rowFibers = {sparse::Fiber{{4, 5}, {10, 20}},
                    sparse::Fiber{{7}, {30}}};
-    auto merged = mergePartialPair(a, b);
+    auto merged = testkit::mergePartialPair(a, b);
     ASSERT_EQ(merged.rowIds.size(), 3u);
     // Row 0 merged: coords {0,4,5}, values {1,12,20}.
     EXPECT_EQ(merged.rowFibers[0].coords,
@@ -302,8 +306,8 @@ TEST(Merger, RejectsUnsortedRowIds)
     unsorted.rowFibers = sorted.rowFibers;
     repeated.rowIds = {5, 5};
     repeated.rowFibers = sorted.rowFibers;
-    EXPECT_THROW(mergePartialPair(sorted, unsorted), FatalError);
-    EXPECT_THROW(mergePartialPair(repeated, sorted), FatalError);
+    EXPECT_THROW(testkit::mergePartialPair(sorted, unsorted), FatalError);
+    EXPECT_THROW(testkit::mergePartialPair(repeated, sorted), FatalError);
     EXPECT_THROW(mergePairFlattened(MergerConfig(), unsorted, sorted),
                  FatalError);
     EXPECT_THROW(runHierarchicalMerge(MergerConfig(), {unsorted}, 4),
@@ -443,6 +447,143 @@ TEST(Scratchpad, DeterministicPerSeed)
     auto b = simulateScratchpadReads(spec, config, 1000, 7);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.metadataStalls, b.metadataStalls);
+}
+
+TEST(Merger, HierarchicalLevelsDoNotOverflowNearIntMax)
+{
+    // ceil(log2(ways)) comparator levels, for every ways up to INT_MAX
+    // (UBSan checks the arithmetic).
+    std::vector<sparse::PartialMatrix> partials(
+            3, sparse::PartialMatrix{{0}, {sparse::Fiber{{0, 1}, {1, 1}}}});
+    MergerConfig config;
+    config.throughput = 1;
+    for (int ways : {INT_MAX, INT_MAX - 1, (1 << 30) + 1}) {
+        auto result = runHierarchicalMerge(config, partials, ways);
+        EXPECT_EQ(result.mergedElements, 2);
+        EXPECT_EQ(result.cycles, 2 + 31) << ways;
+    }
+    EXPECT_EQ(runHierarchicalMerge(config, partials, 1 << 30).cycles, 2 + 30);
+    EXPECT_EQ(runHierarchicalMerge(config, partials, 2).cycles,
+              (2 + 1) + (2 + 1));
+}
+
+// Config fields that would hang or crash a simulator are rejected at
+// entry with a FatalError naming the field.
+
+/** Expect `fn` to throw a FatalError whose message names `field`. */
+template <typename Fn>
+void
+expectRejects(const std::string &field, Fn fn)
+{
+    try {
+        fn();
+        ADD_FAILURE() << field << " was accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(field), std::string::npos)
+                << err.what();
+    }
+}
+
+sparse::CsrMatrix
+smallMatrix()
+{
+    return sparse::synthesize(
+            sparse::scaleProfile(sparse::profileByName("wiki-Vote"), 500),
+            1);
+}
+
+TEST(SimConfigValidation, DmaReqsPerCycleZero)
+{
+    DmaConfig dma;
+    dma.reqsPerCycle = 0;
+    DramModel dram((DramConfig()));
+    expectRejects("DmaConfig::reqsPerCycle",
+                  [&] { simulateStream(dma, dram, 4096); });
+    expectRejects("DmaConfig::reqsPerCycle", [&] {
+        simulateTransfer(dma, dram, {TransferChunk{64, false}});
+    });
+}
+
+TEST(SimConfigValidation, DmaPointerContextsZeroWithPointerChasedChunk)
+{
+    DmaConfig dma;
+    dma.pointerContexts = 0;
+    DramModel dram((DramConfig()));
+    expectRejects("DmaConfig::pointerContexts", [&] {
+        simulateTransfer(dma, dram,
+                         {TransferChunk{64, false}, TransferChunk{64, true}});
+    });
+    // No pointer-chased chunk needs a context.
+    EXPECT_EQ(simulateTransfer(dma, dram, {TransferChunk{64, false}}).bytes,
+              64);
+}
+
+TEST(SimConfigValidation, DramMaxOutstandingZero)
+{
+    DramConfig config;
+    config.maxOutstanding = 0;
+    expectRejects("DramConfig::maxOutstanding",
+                  [&] { DramModel dram(config); });
+    OuterSpaceConfig outerspace;
+    outerspace.dram.maxOutstanding = 0;
+    auto matrix = smallMatrix();
+    expectRejects("DramConfig::maxOutstanding",
+                  [&] { simulateOuterSpace(outerspace, matrix); });
+}
+
+TEST(SimConfigValidation, DramLatencyNegative)
+{
+    DramConfig config;
+    config.latency = -1;
+    expectRejects("DramConfig::latency", [&] { DramModel dram(config); });
+}
+
+TEST(SimConfigValidation, MergerLanesZero)
+{
+    MergerConfig config;
+    config.lanes = 0;
+    const sparse::PartialMatrix p{{0}, {sparse::Fiber{{0}, {1.0}}}};
+    expectRejects("MergerConfig::lanes",
+                  [&] { mergePairRowPartitioned(config, p, p); });
+    expectRejects("MergerConfig::lanes", [&] {
+        runMergeSchedule(config, MergerKind::RowPartitioned, {p, p});
+    });
+    // The flattened models do not use lanes.
+    EXPECT_EQ(mergePairFlattened(config, p, p).mergedElements, 1);
+}
+
+TEST(SimConfigValidation, MergerThroughputZero)
+{
+    MergerConfig config;
+    config.throughput = 0;
+    const sparse::PartialMatrix p{{0}, {sparse::Fiber{{0}, {1.0}}}};
+    expectRejects("MergerConfig::throughput",
+                  [&] { mergePairFlattened(config, p, p); });
+    expectRejects("MergerConfig::throughput", [&] {
+        runMergeSchedule(config, MergerKind::Flattened, {p, p});
+    });
+    expectRejects("MergerConfig::throughput",
+                  [&] { runHierarchicalMerge(config, {p, p}, 2); });
+    // The row-partitioned model does not use throughput.
+    EXPECT_EQ(mergePairRowPartitioned(config, p, p).mergedElements, 1);
+}
+
+TEST(SimConfigValidation, OuterSpaceWorkGroupsZero)
+{
+    OuterSpaceConfig config;
+    config.workGroups = 0;
+    auto matrix = smallMatrix();
+    expectRejects("OuterSpaceConfig::workGroups",
+                  [&] { simulateOuterSpace(config, matrix); });
+}
+
+TEST(SimConfigValidation, OuterSpaceMergeLanesZero)
+{
+    OuterSpaceConfig config;
+    config.mergeLanes = 0;
+    auto matrix = smallMatrix();
+    expectRejects("OuterSpaceConfig::mergeLanes",
+                  [&] { simulateOuterSpace(config, matrix); });
 }
 
 } // namespace

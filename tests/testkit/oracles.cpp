@@ -245,4 +245,32 @@ applyTransformNaive(const core::IterationSpace &space,
                               std::move(ports), max_time - min_time + 1);
 }
 
+sparse::PartialMatrix
+mergePartialPair(const sparse::PartialMatrix &a,
+                 const sparse::PartialMatrix &b)
+{
+    sparse::PartialMatrix merged;
+    std::size_t ia = 0, ib = 0;
+    while (ia < a.rowIds.size() || ib < b.rowIds.size()) {
+        bool take_a = ib == b.rowIds.size() ||
+                      (ia < a.rowIds.size() && a.rowIds[ia] <= b.rowIds[ib]);
+        bool take_b = ia == a.rowIds.size() ||
+                      (ib < b.rowIds.size() && b.rowIds[ib] <= a.rowIds[ia]);
+        std::int64_t row = take_a ? a.rowIds[ia] : b.rowIds[ib];
+        if (!merged.rowIds.empty() && row <= merged.rowIds.back())
+            fatal("merged pair: partial-matrix rowIds must be strictly "
+                  "increasing, but row " + std::to_string(row) +
+                  " follows row " + std::to_string(merged.rowIds.back()));
+        merged.rowIds.push_back(row);
+        if (take_a && take_b)
+            merged.rowFibers.push_back(sparse::mergeFibers(
+                    a.rowFibers[ia++], b.rowFibers[ib++]));
+        else if (take_a)
+            merged.rowFibers.push_back(a.rowFibers[ia++]);
+        else
+            merged.rowFibers.push_back(b.rowFibers[ib++]);
+    }
+    return merged;
+}
+
 } // namespace stellar::testkit

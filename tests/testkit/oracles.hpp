@@ -16,6 +16,7 @@
 #include "dataflow/enumerate.hpp"
 #include "dataflow/transform.hpp"
 #include "func/spec.hpp"
+#include "sparse/spgemm.hpp"
 
 namespace stellar::testkit
 {
@@ -48,6 +49,16 @@ enumerateTransformsOracle(const func::FunctionalSpec &spec,
 core::SpatialArray
 applyTransformNaive(const core::IterationSpace &space,
                     const dataflow::SpaceTimeTransform &transform);
+
+/**
+ * Functionally merge two partial matrices, values included: the golden
+ * reference for the merger simulators, which only count elements. One
+ * walk over the pair's rowIds, which must be strictly increasing (a
+ * FatalError names the offending rows otherwise); a shared row goes
+ * through sparse::mergeFibers, a one-sided row is copied.
+ */
+sparse::PartialMatrix mergePartialPair(const sparse::PartialMatrix &a,
+                                       const sparse::PartialMatrix &b);
 
 } // namespace stellar::testkit
 
