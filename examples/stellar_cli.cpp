@@ -29,7 +29,8 @@
  * serialize to checksummed files under DIR and reload on miss.
  *
  * Distributed DSE: `dse --shard i/N --emit-records FILE` scans one
- * contiguous slice of the candidate space into a versioned records
+ * contiguous slice of the candidate space, cut so every shard decodes
+ * the same number of feasible codes, into a versioned records
  * file; `merge FILE...` folds the N shard files back into the exact
  * single-process ranking (docs/DISTRIBUTED.md).
  */
@@ -110,11 +111,11 @@ usage()
             "stats report\n"
             "                    (deterministic, byte-comparable "
             "output)\n"
-            "  --shard I/N       scan only shard I of N (a contiguous "
-            "slice of the\n"
-            "                    orbit-canonical code space); requires "
-            "--emit-records\n"
-            "                    and --analytic-top-k\n"
+            "  --shard I/N       scan only shard I of N (equal slices "
+            "of the feasible\n"
+            "                    codes, so every shard decodes as many); "
+            "requires\n"
+            "                    --emit-records and --analytic-top-k\n"
             "  --emit-records F  write the shard's candidate records to "
             "F instead of\n"
             "                    printing a ranking (fold shards with "

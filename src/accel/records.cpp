@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -319,18 +320,8 @@ checkRange(const ShardRange &range)
         fail("shard range [" + std::to_string(range.lo) + ", " +
              std::to_string(range.hi) + ") does not fit in " +
              std::to_string(range.codesTotal) + " codes");
-    // The only legitimate slice for (index, count) is the total*i/N
-    // split; anything else overlaps or gaps a sibling shard.
-    std::int64_t lo = range.codesTotal * range.shardIndex /
-                      range.shardCount;
-    std::int64_t hi = range.codesTotal * (range.shardIndex + 1) /
-                      range.shardCount;
-    if (range.lo != lo || range.hi != hi)
-        fail("overlapping or gapped shard range [" +
-             std::to_string(range.lo) + ", " + std::to_string(range.hi) +
-             ") (shard " + std::to_string(range.shardIndex) + "/" +
-             std::to_string(range.shardCount) + " owns [" +
-             std::to_string(lo) + ", " + std::to_string(hi) + "))");
+    // Where the slice of (index, count) lies depends on the spec's
+    // feasible codes, which the file does not carry: the merge checks it.
 }
 
 void
@@ -558,36 +549,35 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
     front.analyticTopK = std::size_t(config.analyticTopK);
     std::atomic<std::int64_t> score_nanos{0};
 
-    dataflow::forEachTransform(
+    dataflow::TransformStream stream(
             functional, enumerate,
-            [&](const dataflow::EnumeratedTransform &item) {
-                CandidateRecord record;
-                record.code = item.code;
-                // maxPes-pruned records are never scored — exactly like
-                // the fused single-process sink. The merge re-derives
-                // the prune from the code.
-                const auto &verdict = std::any_cast<const FrontHalfVerdict &>(
-                        item.annotation);
-                if (!verdict.pruned) {
-                    record.saturated = verdict.saturated;
-                    record.score = verdict.score;
-                }
-                record.examinedAfter = item.examinedAfter;
-                record.decodedAfter = item.decodedAfter;
-                record.rejectedAfter = item.rejectedAfter;
-                record.duplicatesAfter = item.duplicatesAfter;
-                out.records.push_back(std::move(record));
-                return true;
-            },
-            &out.stats,
             frontHalfAnnotators(functional, bounds, front, area_params,
                                 timing_params, score_nanos));
+    dataflow::EnumeratedTransform item;
+    while (stream.next(item)) {
+        CandidateRecord record;
+        record.code = item.code;
+        // maxPes-pruned records are never scored — exactly like the
+        // fused single-process sink. The merge re-derives the prune
+        // from the code.
+        const auto &verdict =
+                std::any_cast<const FrontHalfVerdict &>(item.annotation);
+        if (!verdict.pruned) {
+            record.saturated = verdict.saturated;
+            record.score = verdict.score;
+        }
+        record.examinedAfter = item.examinedAfter;
+        record.decodedAfter = item.decodedAfter;
+        record.rejectedAfter = item.rejectedAfter;
+        record.duplicatesAfter = item.duplicatesAfter;
+        out.records.push_back(std::move(record));
+    }
+    out.stats = stream.stats();
 
     out.range.shardIndex = shard_index;
     out.range.shardCount = shard_count;
     out.range.codesTotal = out.stats.codesTotal;
-    out.range.lo = out.range.codesTotal * shard_index / shard_count;
-    out.range.hi = out.range.codesTotal * (shard_index + 1) / shard_count;
+    std::tie(out.range.lo, out.range.hi) = stream.range();
     return out;
 }
 
@@ -613,8 +603,6 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                  " shard file(s) for this sweep, got " +
                  std::to_string(shards.size()));
     }
-    // The per-file range formula is validated at parse time, so a
-    // permutation of indices is exactly a partition of [0, total).
     std::vector<bool> seen(shards.size(), false);
     for (const ShardRecords &shard : shards) {
         std::size_t index = std::size_t(shard.range.shardIndex);
@@ -642,21 +630,49 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                                                enumerateOptionsFor(config));
     if (decoder.codesTotal() != total)
         fail("shard code space does not match this spec's");
-    // A shard decodes or feasibility-skips exactly the canonical codes
-    // of its range, a closed-form count the file cannot move.
+    auto range_text = [](std::int64_t lo, std::int64_t hi) {
+        return "[" + std::to_string(lo) + ", " + std::to_string(hi) + ")";
+    };
+    std::int64_t next_lo = 0;
     for (const ShardRecords &shard : shards) {
-        const std::int64_t canonical =
-                decoder.canonicalBelow(shard.range.hi) -
-                decoder.canonicalBelow(shard.range.lo);
+        const ShardRange &range = shard.range;
+        const std::string name = "shard " +
+                                 std::to_string(range.shardIndex) + "/" +
+                                 std::to_string(range.shardCount);
+        // The ranges must tile [0, total) in index order ...
+        if (range.lo != next_lo)
+            fail("shard ranges do not tile [0, " + std::to_string(total) +
+                 "): " + name + " covers " + range_text(range.lo, range.hi) +
+                 " but the previous shard ends at " +
+                 std::to_string(next_lo));
+        next_lo = range.hi;
+        // ... at exactly the spec's cuts, which balance decoded codes
+        // and end the last shard at `total`.
+        const auto [lo, hi] =
+                decoder.shardRange(range.shardIndex, range.shardCount);
+        if (range.lo != lo || range.hi != hi)
+            fail(name + " covers " + range_text(range.lo, range.hi) +
+                 ", but this spec cuts it at " + range_text(lo, hi));
+        // The shard decodes or feasibility-skips exactly the canonical
+        // codes of its range, and decodes exactly the feasible ones:
+        // closed-form counts the file cannot move.
+        const std::int64_t canonical = decoder.canonicalBelow(range.hi) -
+                                       decoder.canonicalBelow(range.lo);
         if (shard.stats.feasibilitySkipped + shard.stats.decoded !=
             canonical)
-            fail("shard " + std::to_string(shard.range.shardIndex) +
-                 " counts " +
+            fail("shard " + std::to_string(range.shardIndex) + " counts " +
                  std::to_string(shard.stats.feasibilitySkipped +
                                 shard.stats.decoded) +
                  " feasibility-skipped + decoded codes, but its range "
                  "holds " +
                  std::to_string(canonical) + " canonical codes");
+        const std::int64_t feasible = decoder.feasibleBelow(range.hi) -
+                                      decoder.feasibleBelow(range.lo);
+        if (shard.stats.decoded != feasible)
+            fail("shard " + std::to_string(range.shardIndex) +
+                 " decoded " + std::to_string(shard.stats.decoded) +
+                 " codes, but its range holds " + std::to_string(feasible) +
+                 " feasible codes");
     }
     const std::size_t analytic_top_k = std::size_t(config.analyticTopK);
     AnalyticTopK<std::int64_t> top(analytic_top_k);

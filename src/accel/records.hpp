@@ -5,9 +5,10 @@
  * one level, to *processes*.
  *
  * A shard scan (`scanShard`) owns one contiguous slice of the
- * orbit-canonical coefficient-code space (the same `total*i/N` split
- * the sharded oracle uses, via EnumerateOptions::{shardIndex,
- * shardCount}) and records every locally-deduplicated survivor: its
+ * coefficient-code space, cut at equal counts of feasible codes
+ * (EnumerateOptions::{shardIndex, shardCount}, the split
+ * CandidateDecoder::shardRange computes), and records every
+ * locally-deduplicated survivor: its
  * code, closed-form analytic score, and the serial-equivalent scan
  * counters through that yield — not its matrix, signature or PE count,
  * which are pure functions of the code. The merge (`mergeShardRecords`)
@@ -25,10 +26,11 @@
  * is one strict forward pass that accepts exactly the bytes the writer
  * produces (docs/DISTRIBUTED.md has the grammar), so any damaged or
  * re-spelled byte is rejected as a classified FatalError before a
- * single record is admitted. Mixed
- * versions, overlapping or gapped ranges, shuffled input order, and a
- * code that does not decode to an orbit-canonical survivor are all
- * detected at merge time.
+ * single record is admitted. Mixed versions are refused at parse;
+ * ranges that gap, overlap or miss the spec's cuts, a `decoded` count
+ * other than the range's feasible codes, and a code that does not
+ * decode to an orbit-canonical survivor are refused at merge, and
+ * shuffled input order changes nothing.
  */
 
 #ifndef STELLAR_ACCEL_RECORDS_HPP
@@ -46,7 +48,7 @@ namespace stellar::accel
 {
 
 /** Format version; a mismatch is a classified load error. */
-inline constexpr int kRecordsVersion = 3;
+inline constexpr int kRecordsVersion = 4;
 
 /**
  * The scan parameters every shard of one sweep must agree on. These
@@ -132,11 +134,13 @@ ShardRecords scanShard(const func::FunctionalSpec &functional,
 std::string serializeShardRecords(const ShardRecords &shard);
 
 /**
- * Parse and fully validate one shard document. Rejects wrong kind,
- * version mismatch, checksum mismatch, any spelling the writer would
- * not produce (whitespace, key order, number form), out-of-range
- * or non-monotone codes, and counter-invariant violations — all as
- * classified FatalError, never an unclassified throw.
+ * Parse and validate one shard document as far as it can be without
+ * the spec. Rejects wrong kind, version mismatch, checksum mismatch,
+ * any spelling the writer would not produce (whitespace, key order,
+ * number form), a range outside [0, codes_total], out-of-range or
+ * non-monotone codes, and counter-invariant violations — all as
+ * classified FatalError, never an unclassified throw. Whether the
+ * range is the spec's cut is the merge's check.
  */
 ShardRecords parseShardRecords(const std::string &text);
 
@@ -162,15 +166,17 @@ struct MergeEvalOptions
 /**
  * Fold N shard files into the single-process ranking: validate that
  * the shards form an exact partition of the code space under one
- * config (any overlap, gap, duplicate index, or config mismatch is a
- * classified error), replay the global consuming walk (re-decode each
+ * config, cut where this spec's CandidateDecoder::shardRange cuts it
+ * (any overlap, gap, moved cut, duplicate index, or config mismatch is
+ * a classified error), replay the global consuming walk (re-decode each
  * code, signature dedup, maxPes prune, analytic top-K heap, `enumLimit`
  * stop — in code order, so shuffled input-file order cannot change
  * anything), then elaborate the survivors through `evaluateAndRank`. A
  * walked code that is not an orbit-canonical survivor, a code that
  * repeats a signature its own shard already yielded, and scan counters
- * that disagree with the closed-form canonical code count of their
- * range (CandidateDecoder::canonicalBelow) are classified errors. The
+ * that disagree with the closed-form canonical or feasible code count
+ * of their range (CandidateDecoder::canonicalBelow, feasibleBelow) are
+ * classified errors. The
  * returned candidates and `stats` match a single-process
  * `exploreDataflows` run over the whole space bit-for-bit (timings
  * excepted — they measure this process's walls).

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -190,6 +191,11 @@ struct RowTables
     std::vector<std::int64_t> hops; //!< hops[b * recs + k]
     std::array<std::int64_t, 4> firstSpatial{}; //!< least feasible tuple
     bool anySpatial = false;
+    /** With one iterator a time row is one coefficient c, and each
+     *  recurrence bounds c on one side (c * d >= 0), so the causal rows
+     *  are the interval [causalFirst, causalEnd). */
+    std::int64_t causalFirst = 0;
+    std::int64_t causalEnd = 0;
 
     RowTables(const Geometry &g,
               const std::vector<func::Recurrence> &recurrences,
@@ -212,6 +218,10 @@ struct RowTables
     std::int64_t nextCausal(const Geometry &g, std::int64_t t,
                             std::int64_t end) const
     {
+        if (g.spatialRows == 0) {
+            t = std::max(t, causalFirst);
+            return t < causalEnd ? std::min(t, end) : end;
+        }
         while (t < end && !causal(g, t))
             t++;
         return t;
@@ -281,6 +291,19 @@ RowTables::RowTables(const Geometry &g,
     const int m = g.spatialRows;
     if (m == 0) {
         anySpatial = diffs.empty() || options.maxHopLength >= 0;
+        std::int64_t lo = g.minCoeff;
+        std::int64_t hi = g.minCoeff + g.range - 1;
+        const std::int64_t strict = allowBroadcast ? 0 : 1;
+        for (const auto &diff : diffs) {
+            if (diff[0] > 0)
+                lo = std::max(lo, strict);
+            else if (diff[0] < 0)
+                hi = std::min(hi, -strict);
+            else if (!allowBroadcast)
+                hi = lo - 1;
+        }
+        causalFirst = lo - g.minCoeff;
+        causalEnd = std::max(causalFirst, hi - g.minCoeff + 1);
         return;
     }
     require(B <= kMaxTabulatedBlock, "spatial digit block too large");
@@ -292,6 +315,143 @@ RowTables::RowTables(const Geometry &g,
     anySpatial = fillSpatial(g, *this, firstSpatial, budgets.data(), 0,
                              false, 0);
 }
+
+/**
+ * Append the in-row offset of every spatial tuple w[i..m) that
+ * fillSpatial accepts (canonical, within the hop budgets), in increasing
+ * order; `prefix` is the offset of w[0..i).
+ */
+void
+collectSpatial(const Geometry &g, const RowTables &rows,
+               std::int64_t *budgets, int i, std::int64_t floor_v,
+               std::int64_t prefix, std::vector<std::int64_t> &out)
+{
+    if (i == g.spatialRows) {
+        out.push_back(prefix);
+        return;
+    }
+    const std::size_t recs = rows.recs();
+    const std::int64_t *budget = budgets + std::size_t(i) * recs;
+    std::int64_t *left = budgets + std::size_t(i + 1) * recs;
+    for (std::int64_t v = floor_v; v <= g.cap; v++) {
+        const std::int64_t *cost = rows.hops.data() + std::size_t(v) * recs;
+        bool fits = true;
+        for (std::size_t k = 0; k < recs && fits; k++) {
+            left[k] = budget[k] - cost[k];
+            fits = left[k] >= 0;
+        }
+        if (fits)
+            collectSpatial(g, rows, budgets, i + 1, g.canonical ? v : 0,
+                           prefix * g.rowBlock + v, out);
+    }
+}
+
+/**
+ * The feasible codes (orbit-canonical, causal and within the hop limit:
+ * exactly the codes the scan decodes), counted and indexed in closed
+ * form so shards can be cut at equal feasible counts. Causality reads
+ * only the time row and the hop cost only the spatial blocks, so every
+ * causal time row holds the same S = tuples.size() feasible in-row
+ * offsets, and for code = t * rowSpan + w
+ *
+ *   feasibleBelow(code) = causalBelow(t) * S + [t causal] * #{tuples < w}.
+ *
+ * The causal rows are kept as maximal runs: one iterator has a row per
+ * code and its causal rows form one run (RowTables::causalFirst), so no
+ * table grows with the code space.
+ */
+struct FeasibleIndex
+{
+    struct Run
+    {
+        std::int64_t first = 0;  //!< first causal row of the run
+        std::int64_t end = 0;    //!< first row after it
+        std::int64_t before = 0; //!< causal rows in earlier runs
+    };
+
+    std::int64_t total = 0;
+    std::int64_t rowSpan = 1;
+    std::vector<std::int64_t> tuples; //!< feasible in-row offsets, sorted
+    std::vector<Run> runs;
+    std::int64_t causalRows = 0;
+    std::int64_t count = 0; //!< F, the feasible codes of the whole space
+
+    FeasibleIndex(const Geometry &g, const RowTables &rows,
+                  std::int64_t max_hop)
+        : total(g.total), rowSpan(g.total / g.rowBlock)
+    {
+        if (!rows.anySpatial)
+            return;
+        std::vector<std::int64_t> budgets(
+                std::size_t(g.spatialRows + 1) * rows.recs(), max_hop);
+        collectSpatial(g, rows, budgets.data(), 0, 0, 0, tuples);
+        if (g.spatialRows == 0) {
+            if (rows.causalFirst < rows.causalEnd)
+                runs.push_back({rows.causalFirst, rows.causalEnd, 0});
+            causalRows = rows.causalEnd - rows.causalFirst;
+        } else {
+            for (std::int64_t t = 0; t < g.rowBlock; t++) {
+                if (!rows.causal(g, t))
+                    continue;
+                if (!runs.empty() && runs.back().end == t)
+                    runs.back().end++;
+                else
+                    runs.push_back({t, t + 1, causalRows});
+                causalRows++;
+            }
+        }
+        count = causalRows * std::int64_t(tuples.size());
+    }
+
+    /** Causal time rows in [0, t). */
+    std::int64_t causalBelow(std::int64_t t) const
+    {
+        auto run = std::upper_bound(
+                runs.begin(), runs.end(), t,
+                [](std::int64_t row, const Run &r) { return row < r.end; });
+        if (run == runs.end())
+            return causalRows;
+        return run->before + std::max<std::int64_t>(0, t - run->first);
+    }
+
+    /** Feasible codes in [0, code). */
+    std::int64_t below(std::int64_t code) const
+    {
+        const std::int64_t t = code / rowSpan;
+        const std::int64_t rows_below = causalBelow(t);
+        std::int64_t out = rows_below * std::int64_t(tuples.size());
+        if (causalBelow(t + 1) != rows_below)
+            out += std::lower_bound(tuples.begin(), tuples.end(),
+                                    code % rowSpan) -
+                   tuples.begin();
+        return out;
+    }
+
+    /** The k-th feasible code (0-based), or `total` when k == count. */
+    std::int64_t codeAt(std::int64_t k) const
+    {
+        if (k >= count)
+            return total;
+        const std::int64_t per_row = std::int64_t(tuples.size());
+        const std::int64_t row = k / per_row;
+        auto run = std::upper_bound(
+                runs.begin(), runs.end(), row,
+                [](std::int64_t r, const Run &x) { return r < x.before; });
+        --run;
+        return (run->first + row - run->before) * rowSpan +
+               tuples[std::size_t(k % per_row)];
+    }
+
+    /** Where shard `index` of `count` begins: code 0 for the first
+     *  shard, else the (F * index / count)-th feasible code. */
+    std::int64_t cut(std::int64_t index, std::int64_t shards) const
+    {
+        if (index == 0)
+            return 0;
+        return codeAt(std::int64_t(static_cast<__int128>(count) * index /
+                                   shards));
+    }
+};
 
 /**
  * Per-chunk scan scratch. Decodes into a flat cell array, takes its
@@ -511,33 +671,6 @@ chunkBounds(std::int64_t total)
     return out;
 }
 
-/**
- * Chunk schedule restricted to the options' shard slice: the bounds of
- * `chunkBounds(hi - lo)` shifted by `lo`, where [lo, hi) is slice
- * `shardIndex` of `shardCount` equal contiguous pieces of the full
- * space — `total*i/N` arithmetic, so the N slices partition
- * [0, total) exactly. The scan itself needs no other change:
- * `nextFeasible` works from any starting code.
- */
-std::vector<std::pair<std::int64_t, std::int64_t>>
-shardChunkBounds(const Geometry &g, const EnumerateOptions &options)
-{
-    if (options.shardCount <= 0)
-        return chunkBounds(g.total);
-    require(options.shardIndex >= 0 &&
-                    options.shardIndex < options.shardCount,
-            "enumeration shard index out of range");
-    std::int64_t lo = g.total * options.shardIndex / options.shardCount;
-    std::int64_t hi =
-            g.total * (options.shardIndex + 1) / options.shardCount;
-    auto out = chunkBounds(hi - lo);
-    for (auto &bounds : out) {
-        bounds.first += lo;
-        bounds.second += lo;
-    }
-    return out;
-}
-
 /** What every decode under one (spec, options) pair shares. */
 struct ScanContext
 {
@@ -546,6 +679,7 @@ struct ScanContext
     std::vector<func::Recurrence> recurrences;
     RowTables rows;
     Scanner scanner; //!< serial/decode scratch; references the above
+    std::optional<FeasibleIndex> feasible; //!< built on first use
 
     ScanContext(const func::FunctionalSpec &spec,
                 const EnumerateOptions &opts)
@@ -556,6 +690,46 @@ struct ScanContext
           scanner(g, recurrences, options, rows)
     {
     }
+
+    const FeasibleIndex &feasibleIndex()
+    {
+        if (!feasible)
+            feasible.emplace(g, rows, options.maxHopLength);
+        return *feasible;
+    }
+
+    /**
+     * The one split rule: shard `index` of `count` owns
+     * [cut(index), cut(index + 1)), with cut(0) = 0, cut(count) = total
+     * and cut(i) the (F * i / count)-th feasible code in between, so
+     * the slices tile the space and each decodes F / count codes to
+     * within one.
+     */
+    std::pair<std::int64_t, std::int64_t> shardRange(std::int64_t index,
+                                                     std::int64_t count)
+    {
+        require(count >= 1 && index >= 0 && index < count,
+                "enumeration shard index out of range");
+        const FeasibleIndex &feasible_codes = feasibleIndex();
+        return {feasible_codes.cut(index, count),
+                feasible_codes.cut(index + 1, count)};
+    }
+
+    /** The scan's chunk schedule: the whole space unsharded, else the
+     *  bounds of chunkBounds(hi - lo) shifted onto the shard's [lo, hi).
+     *  The scan needs no other change: nextFeasible starts anywhere. */
+    std::vector<std::pair<std::int64_t, std::int64_t>> chunkSchedule()
+    {
+        if (options.shardCount <= 0)
+            return chunkBounds(g.total);
+        auto [lo, hi] = shardRange(options.shardIndex, options.shardCount);
+        auto out = chunkBounds(hi - lo);
+        for (auto &bounds : out) {
+            bounds.first += lo;
+            bounds.second += lo;
+        }
+        return out;
+    }
 };
 
 } // namespace
@@ -564,6 +738,7 @@ struct TransformStream::Impl : ScanContext
 {
     std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
     std::int64_t rangeLo = 0; //!< first code of the (shard) range
+    std::int64_t rangeHi = 0; //!< first code past it
     std::size_t nextToIssue = 0;
     std::size_t window = 0;
 
@@ -601,8 +776,9 @@ struct TransformStream::Impl : ScanContext
 
     Impl(const func::FunctionalSpec &spec, const EnumerateOptions &opts,
          AnnotatorFactory factory)
-        : ScanContext(spec, opts), chunks(shardChunkBounds(g, opts)),
-          rangeLo(chunks.front().first), annotators(std::move(factory))
+        : ScanContext(spec, opts), chunks(chunkSchedule()),
+          rangeLo(chunks.front().first), rangeHi(chunks.back().second),
+          annotators(std::move(factory))
     {
         stats.codesTotal = g.total;
         std::size_t threads = options.threads;
@@ -789,6 +965,12 @@ TransformStream::stats() const
     return impl_->stats;
 }
 
+std::pair<std::int64_t, std::int64_t>
+TransformStream::range() const
+{
+    return {impl_->rangeLo, impl_->rangeHi};
+}
+
 void
 forEachTransform(const func::FunctionalSpec &spec,
                  const EnumerateOptions &options, const TransformSink &sink,
@@ -838,6 +1020,18 @@ std::int64_t
 CandidateDecoder::canonicalBelow(std::int64_t code) const
 {
     return dataflow::canonicalBelow(impl_->g, code);
+}
+
+std::int64_t
+CandidateDecoder::feasibleBelow(std::int64_t code)
+{
+    return impl_->feasibleIndex().below(code);
+}
+
+std::pair<std::int64_t, std::int64_t>
+CandidateDecoder::shardRange(std::int64_t index, std::int64_t count)
+{
+    return impl_->shardRange(index, count);
 }
 
 bool

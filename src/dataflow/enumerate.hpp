@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dataflow/transform.hpp"
@@ -82,14 +83,16 @@ struct EnumerateOptions
     bool orbitCanonical = true;
 
     /**
-     * Restrict the scan to shard `shardIndex` of `shardCount` equal
-     * contiguous slices of the coefficient-code space (a `total*i/N`
-     * split). `shardCount == 0`
-     * means unsharded; `shardCount == 1` is byte-identical to
-     * unsharded. Stats are range-relative: `codesTotal` stays the full
-     * space, the other counters cover only this shard's slice, so
-     * shard record files can be folded back into the single-process
-     * accounting (src/accel/records.hpp).
+     * Restrict the scan to shard `shardIndex` of `shardCount`
+     * contiguous slices of the coefficient-code space, cut at equal
+     * counts of feasible codes (the codes the scan decodes), so every
+     * shard decodes the same number of codes to within one
+     * (detail::CandidateDecoder::shardRange). `shardCount == 0` means
+     * unsharded; `shardCount == 1` is byte-identical to unsharded.
+     * Stats are range-relative: `codesTotal` stays the full space, the
+     * other counters cover only this shard's slice, so shard record
+     * files can be folded back into the single-process accounting
+     * (src/accel/records.hpp).
      */
     std::int64_t shardIndex = 0;
     std::int64_t shardCount = 0;
@@ -205,6 +208,10 @@ class TransformStream
 
     const EnumerateStats &stats() const;
 
+    /** The codes [lo, hi) the scan covers: the whole space unsharded,
+     *  else its shard's slice. */
+    std::pair<std::int64_t, std::int64_t> range() const;
+
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
@@ -251,6 +258,17 @@ class CandidateDecoder
     /** The number of canonical codes in [0, code), in closed form
      *  (`code` itself when orbit canonicalization is inactive). */
     std::int64_t canonicalBelow(std::int64_t code) const;
+
+    /** The number of feasible codes in [0, code): orbit-canonical,
+     *  causal and within the hop limit, exactly the codes the scan
+     *  decodes. Closed form over an index built on first use. */
+    std::int64_t feasibleBelow(std::int64_t code);
+
+    /** The codes [lo, hi) shard `index` of `count` owns: the split
+     *  EnumerateOptions::shardIndex selects, cut at the
+     *  (F * index / count)-th feasible code, F = feasibleBelow(total). */
+    std::pair<std::int64_t, std::int64_t> shardRange(std::int64_t index,
+                                                     std::int64_t count);
 
     /** Decode `code` and run the filters; true when it survives. */
     bool decode(std::int64_t code);

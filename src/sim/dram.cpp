@@ -14,6 +14,8 @@ namespace stellar::sim
 DramModel::DramModel(DramConfig config) : config_(config)
 {
     require(config_.latency >= 0, "DramConfig::latency must not be negative");
+    require(config_.bytesPerCycle >= 1,
+            "DramConfig::bytesPerCycle must be at least 1");
     require(config_.maxOutstanding >= 1,
             "DramConfig::maxOutstanding must be at least 1");
 }
@@ -45,7 +47,9 @@ DramModel::issue(std::int64_t now, std::int64_t bytes)
     bytesTransferred_ += bytes;
     std::int64_t completion = bwCursor_ + config_.latency;
     // The in-flight FIFO and simulateTransfer's pending FIFO are sorted
-    // only because completions strictly increase in issue order.
+    // only because completions strictly increase in issue order. The
+    // constructor's bandwidth check makes every occupancy at least one
+    // cycle, so this holds; the panic stays as a second line.
     if (completion <= last)
         panic("DRAM completions must strictly increase in issue order");
     inflight_.push_back(completion);

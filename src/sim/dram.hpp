@@ -36,7 +36,8 @@ class DramModel
 {
   public:
     /** Throws FatalError naming the field out of range: a negative
-     *  latency, or an in-flight cap below 1 (no request would issue). */
+     *  latency, a bandwidth below 1 byte per cycle, or an in-flight cap
+     *  below 1 (no request would issue). */
     explicit DramModel(DramConfig config);
 
     const DramConfig &config() const { return config_; }

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 #include <vector>
@@ -270,10 +272,9 @@ TEST(EnumerateStream, CountersMatchTheDecodeEverythingOracle)
                     options.shardCount = shards;
                     dataflow::detail::CandidateDecoder decoder(scenario.spec,
                                                                options);
-                    const std::int64_t total = decoder.codesTotal();
-                    auto want = accountingOracle(
-                            scenario.spec, options, total * index / shards,
-                            total * (index + 1) / shards);
+                    const auto [lo, hi] = decoder.shardRange(index, shards);
+                    auto want = accountingOracle(scenario.spec, options, lo,
+                                                 hi);
                     for (std::size_t threads : {1u, 2u, 4u}) {
                         SCOPED_TRACE("threads " + std::to_string(threads));
                         options.threads = threads;
@@ -297,10 +298,12 @@ TEST(EnumerateStream, CountersMatchTheDecodeEverythingOracle)
     }
 }
 
-// Shard edges fall anywhere inside a code, so the jump must be exact
-// from any starting digits, not just the ones a scan reaches by counting
-// up. Prime shard counts over small 3- and 4-iterator spaces put the
-// edges at arbitrary digit tuples, with the hop limit tight or slack.
+// Shard and chunk edges fall anywhere inside a code, so the jump must
+// be exact from any starting digits, not just the ones a scan reaches by
+// counting up. Prime shard counts over small 3- and 4-iterator spaces put
+// the shard edges at arbitrary feasible tuples (and the chunk edges
+// inside them at arbitrary digit tuples), with the hop limit tight or
+// slack.
 TEST(EnumerateStream, ShardEdgesAnywhereAccountExactly)
 {
     struct Space
@@ -335,10 +338,8 @@ TEST(EnumerateStream, ShardEdgesAnywhereAccountExactly)
                 options.shardCount = shards;
                 dataflow::detail::CandidateDecoder decoder(space.spec,
                                                            options);
-                const std::int64_t total = decoder.codesTotal();
-                auto want = accountingOracle(space.spec, options,
-                                             total * index / shards,
-                                             total * (index + 1) / shards);
+                const auto [lo, hi] = decoder.shardRange(index, shards);
+                auto want = accountingOracle(space.spec, options, lo, hi);
                 dataflow::EnumerateStats got;
                 auto streamed = testkit::collectTransforms(space.spec,
                                                            options, &got);
@@ -423,11 +424,16 @@ TEST(EnumerateStream, CanonicalBelowMatchesABruteForceCount)
     }
 }
 
-// The causality walk stops at its chunk's last time row. A 1-iterator
-// spec has one code per time row, so a coefficient range of ~1.9e9
-// acausal values is one long run: shard 0 of 2000 must walk only its own
-// ~950k codes (a walk to the run's end in every chunk would take hours)
-// and account for them exactly as the decode-everything walk does.
+// A 1-iterator spec has one code per time row, so a coefficient range
+// of ~1.9e9 values of which only c = 0 is causal is one long acausal
+// run. The balanced split gives the whole run to shard 0 (~7,250 chunks)
+// and the one feasible code to the last shard; every shard between is
+// empty. Each chunk of the run must stop its causality walk at its own
+// last row (a walk to the run's end in every chunk would take hours).
+// Shard 0 is too long for the decode-everything walk, so it is held to
+// the counts every code of it has by construction (a negative
+// coefficient fails the merge recurrence's +1 step), and the oracle
+// walks windows at both ends of it; the other shards meet the oracle.
 TEST(EnumerateStream, AcausalRunsAreWalkedOnlyWithinTheChunk)
 {
     auto spec = func::mergeSpec();
@@ -437,14 +443,30 @@ TEST(EnumerateStream, AcausalRunsAreWalkedOnlyWithinTheChunk)
     options.maxHopLength = 1;
     options.allowBroadcast = true;
     options.shardCount = 2000;
-    for (std::int64_t index : {0, 1999}) {
+    dataflow::detail::CandidateDecoder decoder(spec, options);
+    const std::int64_t total = decoder.codesTotal();
+    ASSERT_EQ(decoder.feasibleBelow(total), 1);
+    ASSERT_EQ(decoder.feasibleBelow(total - 1), 0);
+    for (std::int64_t index : {0, 1, 1998, 1999}) {
         options.shardIndex = index;
-        dataflow::detail::CandidateDecoder decoder(spec, options);
-        const std::int64_t total = decoder.codesTotal();
-        auto want = accountingOracle(spec, options,
-                                     total * index / options.shardCount,
-                                     total * (index + 1) /
-                                             options.shardCount);
+        const auto [lo, hi] = decoder.shardRange(index, options.shardCount);
+        EXPECT_EQ(lo, index == 0 ? 0 : total - 1);
+        EXPECT_EQ(hi, index == 1999 ? total : total - 1);
+        dataflow::EnumerateStats want;
+        if (index == 0) {
+            constexpr std::int64_t kWindow = 1000000;
+            for (std::int64_t at : {lo, hi - kWindow}) {
+                auto window =
+                        accountingOracle(spec, options, at, at + kWindow);
+                EXPECT_EQ(window.rejected, kWindow);
+                EXPECT_EQ(window.yielded, 0);
+            }
+            want.codesExamined = hi - lo;
+            want.decoded = hi - lo; // the oracle's: canonical codes
+            want.rejected = hi - lo;
+        } else {
+            want = accountingOracle(spec, options, lo, hi);
+        }
         for (std::size_t threads : {1u, 4u}) {
             SCOPED_TRACE("shard " + std::to_string(index) + " threads " +
                          std::to_string(threads));
@@ -463,10 +485,215 @@ TEST(EnumerateStream, AcausalRunsAreWalkedOnlyWithinTheChunk)
             EXPECT_EQ(got.yielded, want.yielded);
             EXPECT_EQ(got.feasibilitySkipped + got.decoded, want.decoded);
             EXPECT_EQ(got.feasibilitySkipped + got.rejected, want.rejected);
-            if (index == 0) {
-                EXPECT_EQ(got.decoded, 0);
+            EXPECT_EQ(got.decoded, index == 1999 ? 1 : 0);
+        }
+    }
+}
+
+/**
+ * Feasibility from its definition, independent of the scan's digit
+ * tables: decode the code's cells and take, over the recurrences, the
+ * least time step (the time row's dot product with the dependence) and
+ * the largest hop count (the spatial rows' absolute dot products,
+ * summed). A code is causal when that step is non-negative (positive
+ * without broadcast) and within the hop limit when that count is.
+ * Invertibility is not part of it: the scan decodes singular codes and
+ * then rejects them.
+ */
+struct CodeFacts
+{
+    std::int64_t minStep = std::numeric_limits<std::int64_t>::max();
+    std::int64_t maxHops = 0;
+};
+
+CodeFacts
+codeFacts(const std::vector<func::Recurrence> &recurrences, int n,
+          const dataflow::EnumerateOptions &options, std::int64_t code)
+{
+    const std::int64_t range = options.maxCoeff - options.minCoeff + 1;
+    std::array<std::int64_t, 16> cells{};
+    for (int cell = 0; cell < n * n; cell++) {
+        cells[std::size_t(cell)] = options.minCoeff + code % range;
+        code /= range;
+    }
+    CodeFacts facts;
+    for (const auto &rec : recurrences) {
+        std::int64_t hops = 0;
+        for (int r = 0; r < n; r++) {
+            std::int64_t v = 0;
+            for (int c = 0; c < n; c++)
+                v += cells[std::size_t(r * n + c)] * rec.diff[std::size_t(c)];
+            if (r == n - 1)
+                facts.minStep = std::min(facts.minStep, v);
+            else
+                hops += v < 0 ? -v : v;
+        }
+        facts.maxHops = std::max(facts.maxHops, hops);
+    }
+    return facts;
+}
+
+// feasibleBelow's closed form (causal time rows times the per-row tuple
+// count, plus the tuples below the code in its own row) against a
+// running count of codes that are orbit-minimal and feasible by
+// definition, at every code of small 1- to 4-iterator spaces: symmetric
+// and asymmetric ranges (the latter canonicalize by permutation only),
+// orbit skipping on and off, broadcast on and off, and hop limits 0 to
+// 3. Every cut the split makes must land on a feasible code and give
+// each shard the same feasible count to within one.
+TEST(EnumerateStream, FeasibleBelowMatchesABruteForceCount)
+{
+    struct Space
+    {
+        func::FunctionalSpec spec;
+        std::int64_t minCoeff;
+        std::int64_t maxCoeff;
+    };
+    const std::vector<Space> spaces = {
+            {func::mergeSpec(), -5, 5},    {func::mergeSpec(), -3, -1},
+            {func::matAddSpec(), -3, 3},   {func::matAddSpec(), 0, 2},
+            {func::matAddSpec(), -2, 4},   {func::matmulSpec(), -1, 1},
+            {func::matmulSpec(), -1, 2},   {func::matmulSpec(), -1, 0},
+            {func::convSpec(2, 2), 0, 1},  {func::convSpec(2, 2), -1, 0},
+    };
+    bool saw_empty_space = false;
+    for (const auto &space : spaces) {
+        for (bool orbit : {true, false}) {
+            dataflow::EnumerateOptions base;
+            base.minCoeff = space.minCoeff;
+            base.maxCoeff = space.maxCoeff;
+            base.orbitCanonical = orbit;
+            const std::int64_t total =
+                    dataflow::detail::CandidateDecoder(space.spec, base)
+                            .codesTotal();
+            const auto recurrences = space.spec.recurrences();
+            std::vector<bool> minimal(static_cast<std::size_t>(total));
+            std::vector<CodeFacts> facts(static_cast<std::size_t>(total));
+            for (std::int64_t code = 0; code < total; code++) {
+                minimal[std::size_t(code)] =
+                        orbitMinimal(space.spec, base, code);
+                facts[std::size_t(code)] =
+                        codeFacts(recurrences, space.spec.numIndices(),
+                                  base, code);
+            }
+            for (bool broadcast : {true, false}) {
+                for (std::int64_t hop = 0; hop <= 3; hop++) {
+                    SCOPED_TRACE(space.spec.name() + " coeff [" +
+                                 std::to_string(space.minCoeff) + "," +
+                                 std::to_string(space.maxCoeff) +
+                                 "] orbit " + std::to_string(orbit) +
+                                 " broadcast " + std::to_string(broadcast) +
+                                 " hop " + std::to_string(hop));
+                    auto options = base;
+                    options.allowBroadcast = broadcast;
+                    options.maxHopLength = hop;
+                    dataflow::detail::CandidateDecoder decoder(space.spec,
+                                                               options);
+                    std::vector<bool> feasible(static_cast<std::size_t>(total));
+                    std::int64_t count = 0;
+                    for (std::int64_t code = 0; code <= total; code++) {
+                        if (decoder.feasibleBelow(code) != count) {
+                            ADD_FAILURE() << "feasibleBelow(" << code
+                                          << ") = "
+                                          << decoder.feasibleBelow(code)
+                                          << ", brute force " << count;
+                            break;
+                        }
+                        if (code == total)
+                            break;
+                        const CodeFacts &fact = facts[std::size_t(code)];
+                        feasible[std::size_t(code)] =
+                                minimal[std::size_t(code)] &&
+                                (broadcast ? fact.minStep >= 0
+                                           : fact.minStep > 0) &&
+                                fact.maxHops <= hop;
+                        count += feasible[std::size_t(code)];
+                    }
+                    saw_empty_space |= count == 0;
+                    for (std::int64_t shards : {1, 2, 3, 4, 7, 13, 23}) {
+                        std::int64_t next = 0;
+                        for (std::int64_t i = 0; i < shards; i++) {
+                            const auto [lo, hi] =
+                                    decoder.shardRange(i, shards);
+                            EXPECT_EQ(lo, next) << i << "/" << shards;
+                            next = hi;
+                            if (i > 0 && lo < total) {
+                                EXPECT_TRUE(feasible[std::size_t(lo)])
+                                        << "cut " << i << "/" << shards
+                                        << " at code " << lo;
+                            }
+                            const std::int64_t own =
+                                    decoder.feasibleBelow(hi) -
+                                    decoder.feasibleBelow(lo);
+                            EXPECT_EQ(own, count * (i + 1) / shards -
+                                                   count * i / shards)
+                                    << i << "/" << shards;
+                        }
+                        EXPECT_EQ(next, total) << shards << " shards";
+                    }
+                }
             }
         }
+    }
+    EXPECT_TRUE(saw_empty_space) << "no space without a feasible code";
+}
+
+// The balanced split on real scans: at every shard count, the shards'
+// `decoded` counts differ by at most one and sum to the unsharded
+// scan's; with more shards than feasible codes, the surplus shards are
+// legal empty slices that examine and decode nothing.
+TEST(EnumerateStream, ShardsDecodeEqualCountsToWithinOne)
+{
+    struct Space
+    {
+        std::int64_t coeff;
+        std::int64_t hop;
+    };
+    for (const Space space : {Space{2, 2}, Space{1, 0}}) {
+        dataflow::EnumerateOptions base;
+        base.minCoeff = -space.coeff;
+        base.maxCoeff = space.coeff;
+        base.maxHopLength = space.hop;
+        base.limit = std::size_t(1) << 40;
+        dataflow::EnumerateStats full;
+        dataflow::forEachTransform(
+                func::matmulSpec(), base,
+                [](const dataflow::EnumeratedTransform &) { return true; },
+                &full);
+        ASSERT_GT(full.decoded, 0);
+        bool saw_empty_shard = false;
+        for (std::int64_t shards : {1, 2, 3, 4, 7, 13, 23}) {
+            SCOPED_TRACE("coeff " + std::to_string(space.coeff) + " hop " +
+                         std::to_string(space.hop) + " shards " +
+                         std::to_string(shards));
+            std::int64_t least = full.decoded;
+            std::int64_t most = 0;
+            std::int64_t sum = 0;
+            for (std::int64_t i = 0; i < shards; i++) {
+                auto options = base;
+                options.shardIndex = i;
+                options.shardCount = shards;
+                dataflow::TransformStream stream(func::matmulSpec(),
+                                                 options);
+                dataflow::EnumeratedTransform item;
+                while (stream.next(item)) {
+                }
+                const auto &stats = stream.stats();
+                const auto [lo, hi] = stream.range();
+                EXPECT_EQ(stats.codesExamined, hi - lo);
+                if (lo == hi) {
+                    saw_empty_shard = true;
+                    EXPECT_EQ(stats.decoded, 0);
+                    EXPECT_EQ(stats.yielded, 0);
+                }
+                least = std::min(least, stats.decoded);
+                most = std::max(most, stats.decoded);
+                sum += stats.decoded;
+            }
+            EXPECT_LE(most - least, 1);
+            EXPECT_EQ(sum, full.decoded);
+        }
+        EXPECT_EQ(saw_empty_shard, full.decoded < 23);
     }
 }
 

@@ -110,16 +110,16 @@ TEST(Records, RoundTripIsByteExact)
     EXPECT_GT(total_records, 0) << "the scan found nothing to record";
 }
 
-TEST(Records, VersionThreeRecordsCarryNoDerivedFields)
+TEST(Records, VersionFourRecordsCarryNoDerivedFields)
 {
     // Matrix, signature and PE count are pure functions of the code, and
     // so are the skip counts through a record (canonicalBelow); the
     // merge re-derives them, so none of them crosses the boundary. The
-    // shard-level feasibility_skipped is the one new field.
+    // shard-level feasibility_skipped is the one skip field.
     auto shards = scanAll(smallConfig(), 1);
     ASSERT_FALSE(shards[0].records.empty());
     std::string text = accel::serializeShardRecords(shards[0]);
-    EXPECT_NE(text.find("\"version\":3"), std::string::npos);
+    EXPECT_NE(text.find("\"version\":4"), std::string::npos);
     for (const char *key :
          {"\"matrix\"", "\"signature\"", "\"analytic_pes\"",
           "\"local_index\"", "\"feasibility_skipped_after\""})
@@ -133,7 +133,7 @@ TEST(Records, VersionThreeRecordsCarryNoDerivedFields)
 std::string
 withVersion(std::string text, int version)
 {
-    std::size_t at = text.find("\"version\":3");
+    std::size_t at = text.find("\"version\":4");
     EXPECT_NE(at, std::string::npos);
     if (at != std::string::npos)
         text.replace(at, 11, "\"version\":" + std::to_string(version));
@@ -149,7 +149,7 @@ TEST(Records, VersionOneDocumentIsRejectedClassified)
             [&] { accel::parseShardRecords(text); }, "version 1");
     EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
     EXPECT_NE(failure.message.find(
-                      "unsupported version 1 (this build reads version 3)"),
+                      "unsupported version 1 (this build reads version 4)"),
               std::string::npos)
             << failure.message;
 }
@@ -165,7 +165,23 @@ TEST(Records, VersionTwoDocumentIsRejectedClassified)
             [&] { accel::parseShardRecords(text); }, "version 2");
     EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
     EXPECT_NE(failure.message.find(
-                      "unsupported version 2 (this build reads version 3)"),
+                      "unsupported version 2 (this build reads version 4)"),
+              std::string::npos)
+            << failure.message;
+}
+
+// Version 3 cut shards at total*i/N; its ranges and per-shard counts
+// are not version 4's, so a v3 file must not fold in.
+TEST(Records, VersionThreeDocumentIsRejectedClassified)
+{
+    auto shards = scanAll(smallConfig(), 1);
+    std::string text =
+            withVersion(accel::serializeShardRecords(shards[0]), 3);
+    auto failure = expectClassifiedThrow(
+            [&] { accel::parseShardRecords(text); }, "version 3");
+    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+    EXPECT_NE(failure.message.find(
+                      "unsupported version 3 (this build reads version 4)"),
               std::string::npos)
             << failure.message;
 }
@@ -380,20 +396,114 @@ TEST(Records, HardScoresRoundTripBitExact)
                 << "record " << i << " score " << records[i].score;
 }
 
+/** Merge `shards` and expect a classified UserSpec refusal whose
+ *  message contains `message`. */
+void
+expectMergeRefused(std::vector<accel::ShardRecords> shards,
+                   const char *what, const char *message)
+{
+    model::AreaParams area_params;
+    model::TimingParams timing_params;
+    auto config = smallConfig();
+    IntVec bounds = {config.dim, config.dim, config.dim};
+    accel::MergeEvalOptions eval;
+    eval.threads = 1;
+    auto failure = expectClassifiedThrow(
+            [&] {
+                accel::mergeShardRecords(std::move(shards),
+                                         func::matmulSpec(), bounds, eval,
+                                         area_params, timing_params,
+                                         nullptr);
+            },
+            what);
+    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec) << what;
+    EXPECT_NE(failure.message.find(message), std::string::npos)
+            << failure.message;
+}
+
+/** The enumeration options every shard of smallConfig() scans under. */
+dataflow::EnumerateOptions
+smallOptions()
+{
+    auto config = smallConfig();
+    dataflow::EnumerateOptions options;
+    options.minCoeff = -config.maxCoeff;
+    options.maxCoeff = config.maxCoeff;
+    options.maxHopLength = config.maxHop;
+    return options;
+}
+
 TEST(Records, TamperedRangeIsRejectedEvenWithAFreshChecksum)
 {
     // An attacker (or a buggy wrapper) re-serializing a shard with a
-    // shifted range gets a *valid checksum* — the parse-time partition
-    // formula is what has to catch it.
+    // shifted range gets a *valid checksum*, and the parser has no spec
+    // to cut with; the merge's tiling check is what has to catch it.
     auto shards = scanAll(smallConfig(), 2);
-    auto tampered = shards[1];
+    dataflow::detail::CandidateDecoder decoder(func::matmulSpec(),
+                                               smallOptions());
+    for (std::int64_t i = 0; i < 2; i++) {
+        const auto [lo, hi] = decoder.shardRange(i, 2);
+        ASSERT_EQ(shards[std::size_t(i)].range.lo, lo);
+        ASSERT_EQ(shards[std::size_t(i)].range.hi, hi);
+    }
+    auto &tampered = shards[1];
     tampered.range.lo -= 1; // overlaps shard 0's slice
     tampered.stats.codesExamined += 1; // keep the counter invariant
-    std::string text = accel::serializeShardRecords(tampered);
-    auto failure = expectClassifiedThrow(
-            [&] { accel::parseShardRecords(text); }, "overlapping range");
-    EXPECT_NE(failure.message.find("shard range"), std::string::npos)
-            << failure.message;
+    tampered.stats.orbitSkipped += 1;
+    for (auto &record : tampered.records)
+        record.examinedAfter += 1;
+    tampered = accel::parseShardRecords(
+            accel::serializeShardRecords(tampered));
+    expectMergeRefused(shards, "overlapping range", "do not tile");
+}
+
+TEST(Records, MovedCutIsRejectedEvenWithAFreshChecksum)
+{
+    // Move the edge between two shards by one code on both sides: the
+    // ranges still tile, every parse-time invariant holds, and only the
+    // spec's cut can refuse the set.
+    auto shards = scanAll(smallConfig(), 2);
+    auto &left = shards[0];
+    auto &right = shards[1];
+    ASSERT_FALSE(left.records.empty());
+    ASSERT_LT(left.records.back().code, left.range.hi - 1);
+    ASSERT_GT(left.stats.orbitSkipped + left.stats.feasibilitySkipped, 0);
+    left.range.hi -= 1;
+    left.stats.codesExamined -= 1;
+    if (left.stats.orbitSkipped > 0)
+        left.stats.orbitSkipped -= 1;
+    else
+        left.stats.feasibilitySkipped -= 1;
+    right.range.lo -= 1;
+    right.stats.codesExamined += 1;
+    right.stats.orbitSkipped += 1;
+    for (auto &record : right.records)
+        record.examinedAfter += 1;
+    for (auto &shard : shards)
+        shard = accel::parseShardRecords(
+                accel::serializeShardRecords(shard));
+    expectMergeRefused(shards, "moved cut", "this spec cuts it at");
+}
+
+TEST(Records, ForgedDecodedCountIsRejectedEvenWithAFreshChecksum)
+{
+    // Move one code between `decoded` and `feasibility_skipped` (and
+    // between `rejected` and nothing): the counter invariants and the
+    // canonical count still hold, so only the exact feasible count of
+    // the range can refuse it, one code off in either direction.
+    for (std::int64_t delta : {1, -1}) {
+        SCOPED_TRACE("decoded " + std::to_string(delta));
+        auto shards = scanAll(smallConfig(), 2);
+        auto &stats = shards[1].stats;
+        ASSERT_GT(stats.rejected, 0);
+        ASSERT_GT(stats.feasibilitySkipped, 0);
+        stats.decoded += delta;
+        stats.rejected += delta;
+        stats.feasibilitySkipped -= delta;
+        shards[1] = accel::parseShardRecords(
+                accel::serializeShardRecords(shards[1]));
+        expectMergeRefused(shards, "forged decoded", "feasible codes");
+    }
 }
 
 TEST(Records, FeasibilitySkippedBreakingTheInvariantIsRejected)
@@ -467,19 +577,11 @@ TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
     // a fresh checksum parses cleanly, so the merge's re-decode is what
     // has to refuse a code that is not an orbit-canonical survivor, or
     // that repeats a signature its own shard already yielded.
-    model::AreaParams area_params;
-    model::TimingParams timing_params;
-    auto config = smallConfig();
-    IntVec bounds = {config.dim, config.dim, config.dim};
     // Seven shards cut the space inside time-row blocks, so some
     // signatures are yielded by two shards.
-    auto shards = scanAll(config, 7);
-    dataflow::EnumerateOptions options;
-    options.minCoeff = -config.maxCoeff;
-    options.maxCoeff = config.maxCoeff;
-    options.maxHopLength = config.maxHop;
+    auto shards = scanAll(smallConfig(), 7);
     dataflow::detail::CandidateDecoder decoder(func::matmulSpec(),
-                                               options);
+                                               smallOptions());
 
     // Move the first record that has a `wanted` code between its
     // predecessor's and its own onto that code.
@@ -503,38 +605,21 @@ TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
         ADD_FAILURE() << "no code to forge";
         return forged;
     };
-    auto expectRefused = [&](std::vector<accel::ShardRecords> set,
-                             const char *what, const char *message) {
-        accel::MergeEvalOptions eval;
-        eval.threads = 1;
-        auto failure = expectClassifiedThrow(
-                [&] {
-                    accel::mergeShardRecords(std::move(set),
-                                             func::matmulSpec(), bounds,
-                                             eval, area_params,
-                                             timing_params, nullptr);
-                },
-                what);
-        EXPECT_EQ(failure.kind, util::FailureKind::UserSpec) << what;
-        EXPECT_NE(failure.message.find(message), std::string::npos)
-                << failure.message;
-    };
-
-    expectRefused(forge([&](std::int64_t, std::int64_t code) {
-                      return !decoder.canonical(code) &&
-                             decoder.decode(code);
-                  }),
-                  "non-canonical survivor", "does not decode");
-    expectRefused(forge([&](std::int64_t, std::int64_t code) {
-                      return decoder.canonical(code) &&
-                             !decoder.decode(code);
-                  }),
-                  "filtered code", "does not decode");
-    expectRefused(forge([&](std::int64_t, std::int64_t code) {
-                      return decoder.canonical(code) &&
-                             decoder.decode(code);
-                  }),
-                  "repeated signature", "repeats a signature");
+    expectMergeRefused(forge([&](std::int64_t, std::int64_t code) {
+                           return !decoder.canonical(code) &&
+                                  decoder.decode(code);
+                       }),
+                       "non-canonical survivor", "does not decode");
+    expectMergeRefused(forge([&](std::int64_t, std::int64_t code) {
+                           return decoder.canonical(code) &&
+                                  !decoder.decode(code);
+                       }),
+                       "filtered code", "does not decode");
+    expectMergeRefused(forge([&](std::int64_t, std::int64_t code) {
+                           return decoder.canonical(code) &&
+                                  decoder.decode(code);
+                       }),
+                       "repeated signature", "repeats a signature");
 
     // The same repeat of a signature an earlier shard yielded first: the
     // honest copy is a cross-shard duplicate, the forged second copy
@@ -548,13 +633,13 @@ TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
             earlier[i].insert(decoder.signature());
         }
     }
-    expectRefused(forge([&](std::int64_t shard, std::int64_t code) {
-                      return decoder.canonical(code) &&
-                             decoder.decode(code) &&
-                             earlier[std::size_t(shard)].count(
-                                     decoder.signature()) != 0;
-                  }),
-                  "repeated cross-shard signature", "repeats a signature");
+    expectMergeRefused(forge([&](std::int64_t shard, std::int64_t code) {
+                           return decoder.canonical(code) &&
+                                  decoder.decode(code) &&
+                                  earlier[std::size_t(shard)].count(
+                                          decoder.signature()) != 0;
+                       }),
+                       "repeated cross-shard signature", "repeats a signature");
 }
 
 TEST(Records, MergeRejectsIncompleteDuplicateAndMixedConfigSets)

@@ -232,14 +232,12 @@ TEST(ShardPartition, EveryCodeIsOwnedByExactlyOneShard)
         std::set<std::int64_t> owned; // codes claimed by any shard
         std::int64_t examined_total = 0;
         std::int64_t prev_hi = 0;
+        dataflow::detail::CandidateDecoder decoder(functional, base);
         for (std::int64_t i = 0; i < shards; i++) {
             auto opt = base;
             opt.shardIndex = i;
             opt.shardCount = shards;
-            std::int64_t lo =
-                    full_stats.codesTotal * i / shards;
-            std::int64_t hi =
-                    full_stats.codesTotal * (i + 1) / shards;
+            const auto [lo, hi] = decoder.shardRange(i, shards);
             EXPECT_EQ(lo, prev_hi) << "gap/overlap at shard " << i;
             prev_hi = hi;
             dataflow::EnumerateStats stats;
@@ -264,6 +262,19 @@ TEST(ShardPartition, EveryCodeIsOwnedByExactlyOneShard)
             EXPECT_TRUE(owned.count(code))
                     << "unsharded code " << code << " owned by no shard";
     }
+}
+
+TEST_F(ShardDir, MoreShardsThanFeasibleCodesMergeIdentically)
+{
+    // At hop 0 every spatial row is zero, so the space holds one
+    // feasible tuple per causal time row: 8 feasible codes, all
+    // singular. 13 shards leave 5 of them empty slices, which must
+    // still scan, serialize, parse and merge like any other shard.
+    auto request = baseRequest();
+    request.maxHop = 0;
+    std::string expected = singleProcess(request);
+    ASSERT_NE(expected.find("explored"), std::string::npos);
+    EXPECT_EQ(shardedViaFiles(request, 13, dir_), expected);
 }
 
 TEST(ShardPartition, ShardCountOneIsByteIdenticalToUnsharded)

@@ -65,12 +65,46 @@ TEST(DramModel, OutstandingCap)
 
 TEST(DramModel, CompletionsStrictlyIncrease)
 {
-    // The in-flight FIFO depends on completions arriving in issue order;
-    // a (nonsensical) negative bandwidth breaks that and must panic.
-    DramConfig config;
-    config.bytesPerCycle = -1;
-    DramModel dram(config);
-    EXPECT_THROW(dram.issue(0, 64), PanicError);
+    // The in-flight FIFO depends on completions arriving in issue order.
+    // A bandwidth below one byte per cycle would break that (zero also
+    // divides by zero), so the constructor refuses it, naming the field.
+    for (std::int64_t bandwidth : {0, -1}) {
+        DramConfig config;
+        config.bytesPerCycle = bandwidth;
+        try {
+            DramModel dram(config);
+            ADD_FAILURE() << "bandwidth " << bandwidth << " accepted";
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what())
+                              .find("DramConfig::bytesPerCycle"),
+                      std::string::npos)
+                    << error.what();
+        }
+    }
+}
+
+TEST(DramModel, CompletionsStrictlyIncreaseOverValidConfigs)
+{
+    // Any config the constructor accepts issues in completion order,
+    // whatever the request sizes and issue cycles.
+    Rng rng(21);
+    for (int round = 0; round < 200; round++) {
+        DramConfig config;
+        config.latency = rng.nextRange(0, 200);
+        config.bytesPerCycle = rng.nextRange(1, 128);
+        config.maxOutstanding = rng.nextRange(1, 64);
+        config.minBurstBytes = rng.nextRange(0, 128);
+        DramModel dram(config);
+        std::int64_t now = 0;
+        std::int64_t last = -1;
+        for (int i = 0; i < 100; i++) {
+            now += rng.nextRange(0, 4);
+            std::int64_t done = dram.issue(now, rng.nextRange(1, 300));
+            ASSERT_GT(done, last) << "round " << round << " issue " << i;
+            ASSERT_GE(done, now + config.latency + 1);
+            last = done;
+        }
+    }
 }
 
 TEST(SimulateStream, BandwidthBound)
