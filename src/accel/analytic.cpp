@@ -14,35 +14,32 @@ namespace detail
 {
 
 std::int64_t
-satDeterminant(const IntMatrix &m, bool *saturated)
+satDeterminant(const std::int64_t *cells, int n, bool *saturated)
 {
-    int n = m.rows();
+    auto at = [&](int r, int c) { return cells[r * n + c]; };
     if (n == 0)
         return 1;
     if (n == 1)
-        return m.at(0, 0);
+        return cells[0];
     if (n == 2) {
-        return util::satAdd(
-                util::satMul(m.at(0, 0), m.at(1, 1), saturated),
-                -util::satMul(m.at(0, 1), m.at(1, 0), saturated),
-                saturated);
+        return util::satAdd(util::satMul(at(0, 0), at(1, 1), saturated),
+                            -util::satMul(at(0, 1), at(1, 0), saturated),
+                            saturated);
     }
     // General cofactor expansion along the first row. Matrices here are
     // tiny (the spec's index count), so the recursion depth is shallow;
-    // only n >= 4 allocates, and only off the DSE hot path.
+    // only n >= 3 allocates, and only off the 3-index DSE hot path.
+    std::vector<std::int64_t> minor(std::size_t((n - 1) * (n - 1)));
     std::int64_t det = 0;
-    IntMatrix minor(n - 1, n - 1);
     for (int skip = 0; skip < n; skip++) {
-        for (int r = 1; r < n; r++) {
-            int mc = 0;
-            for (int c = 0; c < n; c++) {
-                if (c == skip)
-                    continue;
-                minor.at(r - 1, mc++) = m.at(r, c);
-            }
-        }
+        std::size_t out = 0;
+        for (int r = 1; r < n; r++)
+            for (int c = 0; c < n; c++)
+                if (c != skip)
+                    minor[out++] = at(r, c);
         std::int64_t term = util::satMul(
-                m.at(0, skip), satDeterminant(minor, saturated), saturated);
+                at(0, skip), satDeterminant(minor.data(), n - 1, saturated),
+                saturated);
         det = util::satAdd(det, (skip % 2 == 0) ? term : -term, saturated);
     }
     return det;
@@ -58,38 +55,34 @@ satDeterminant(const IntMatrix &m, bool *saturated)
  * (d-1)-minors of the spatial rows), normalized by the gcd.
  */
 bool
-spatialKernelInto(const IntMatrix &m, IntVec &out, bool *saturated)
+spatialKernelInto(const std::int64_t *cells, int d, IntVec &out,
+                  bool *saturated)
 {
-    int d = m.cols();
-    int sd = m.rows() - 1;
+    auto at = [&](int r, int c) { return cells[r * d + c]; };
+    int sd = d - 1;
     out.assign(std::size_t(d), 0);
     bool local_saturated = false;
     std::int64_t g = 0;
     for (int skip = 0; skip < d; skip++) {
         std::int64_t det = 0;
         if (sd == 1) {
-            det = m.at(0, skip == 0 ? 1 : 0);
+            det = at(0, skip == 0 ? 1 : 0);
         } else if (sd == 2) {
             // The dominant DSE case (3-index specs): the 2x2 minor over
-            // the two columns != skip, computed without allocating.
+            // the two columns != skip.
             int c0 = skip == 0 ? 1 : 0;
             int c1 = skip == 2 ? 1 : 2;
             det = util::satAdd(
-                    util::satMul(m.at(0, c0), m.at(1, c1), &local_saturated),
-                    -util::satMul(m.at(0, c1), m.at(1, c0),
-                                  &local_saturated),
+                    util::satMul(at(0, c0), at(1, c1), &local_saturated),
+                    -util::satMul(at(0, c1), at(1, c0), &local_saturated),
                     &local_saturated);
         } else {
-            IntMatrix minor(sd, sd);
-            for (int r = 0; r < sd; r++) {
-                int mc = 0;
-                for (int c = 0; c < d; c++) {
-                    if (c == skip)
-                        continue;
-                    minor.at(r, mc++) = m.at(r, c);
-                }
-            }
-            det = satDeterminant(minor, &local_saturated);
+            std::vector<std::int64_t> minor;
+            for (int r = 0; r < sd; r++)
+                for (int c = 0; c < d; c++)
+                    if (c != skip)
+                        minor.push_back(at(r, c));
+            det = satDeterminant(minor.data(), sd, &local_saturated);
         }
         out[std::size_t(skip)] = (skip % 2 == 0) ? det : -det;
         g = std::gcd(g, std::llabs(det));
@@ -155,13 +148,20 @@ std::int64_t
 analyticPeCount(const dataflow::SpaceTimeTransform &transform,
                 const IntVec &bounds)
 {
-    require(transform.dims() == int(bounds.size()),
+    return analyticPeCount(transform.matrix().cells(), bounds);
+}
+
+std::int64_t
+analyticPeCount(std::span<const std::int64_t> cells, const IntVec &bounds)
+{
+    const int d = int(bounds.size());
+    require(cells.size() == std::size_t(d) * std::size_t(d),
             "transform dimensionality must match the bounds");
-    if (transform.spaceDims() == 0)
-        return 1; // every point folds onto the single PE
+    if (d == 1)
+        return 1; // no spatial axes: every point folds onto one PE
     bool saturated = false;
     IntVec kernel;
-    if (!detail::spatialKernelInto(transform.matrix(), kernel, &saturated))
+    if (!detail::spatialKernelInto(cells.data(), d, kernel, &saturated))
         return std::numeric_limits<std::int64_t>::max();
     return detail::distinctImages(bounds, kernel, &saturated);
 }
@@ -211,7 +211,8 @@ analyticProbe(const dataflow::SpaceTimeTransform &transform,
     }
 
     IntVec kernel;
-    detail::spatialKernelInto(m, kernel, &probe.saturated);
+    detail::spatialKernelInto(m.cells().data(), d, kernel,
+                              &probe.saturated);
     probe.pes = detail::distinctImages(bounds, kernel, &probe.saturated);
 
     // Dense wire-instance counts: a wire instance exists for every

@@ -24,6 +24,7 @@
 #define STELLAR_ACCEL_ANALYTIC_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/iteration_space.hpp"
@@ -66,6 +67,11 @@ struct AnalyticProbe
 std::int64_t analyticPeCount(const dataflow::SpaceTimeTransform &transform,
                              const IntVec &bounds);
 
+/** The same count for the transform whose row-major matrix is `cells`
+ *  (bounds.size() squared entries), as a DSE scan decodes it. */
+std::int64_t analyticPeCount(std::span<const std::int64_t> cells,
+                             const IntVec &bounds);
+
 /**
  * Full analytic probe of a candidate against a (possibly pruned)
  * IterationSpace: exact PE count, schedule length, extents, and
@@ -79,22 +85,25 @@ namespace detail
 {
 
 /**
- * Cofactor determinant with saturating arithmetic. Exact whenever no
- * intermediate product or sum leaves the int64 range; otherwise clamped
- * with `*saturated` set, which callers must treat as "astronomically
- * large design", never as a usable magnitude.
+ * Cofactor determinant of the n x n row-major matrix at `cells`, with
+ * saturating arithmetic. Exact whenever no intermediate product or sum
+ * leaves the int64 range; otherwise clamped with `*saturated` set,
+ * which callers must treat as "astronomically large design", never as
+ * a usable magnitude.
  */
-std::int64_t satDeterminant(const IntMatrix &m, bool *saturated);
+std::int64_t satDeterminant(const std::int64_t *cells, int n,
+                            bool *saturated);
 
 /**
- * Primitive generator of the integer kernel of the spatial rows of an
- * invertible transform matrix, written into `out` (resized to m.cols())
- * without allocating on the hot path for the common sd <= 2 case.
+ * Primitive generator of the integer kernel of the spatial rows of the
+ * invertible d x d row-major transform matrix `cells`, written into
+ * `out` (resized to d) without allocating for d <= 3.
  * Returns false when saturation collapsed the minors so no generator
  * could be derived — `out` is then the time-axis unit vector and
  * `*saturated` is set; every count derived from it is a clamp artifact.
  */
-bool spatialKernelInto(const IntMatrix &m, IntVec &out, bool *saturated);
+bool spatialKernelInto(const std::int64_t *cells, int d, IntVec &out,
+                       bool *saturated);
 
 /**
  * Distinct spatial images of an axis-aligned box with the given

@@ -93,12 +93,18 @@ AnalyticCostModel::AnalyticCostModel(const func::FunctionalSpec &functional,
 AnalyticScore
 AnalyticCostModel::score(const dataflow::SpaceTimeTransform &transform)
 {
-    require(transform.dims() == dims_,
-            "transform dimensionality must match the cost model");
-    AnalyticScore result;
-    const IntMatrix &m = transform.matrix();
+    return score(transform.matrix().cells());
+}
+
+AnalyticScore
+AnalyticCostModel::score(std::span<const std::int64_t> cells)
+{
     int d = dims_;
     int sd = d - 1;
+    require(cells.size() == std::size_t(d) * std::size_t(d),
+            "transform dimensionality must match the cost model");
+    AnalyticScore result;
+    auto m = [&](int r, int c) { return cells[std::size_t(r * d + c)]; };
 
     // Extents and schedule length: per row, the sum of per-axis
     // coefficient reaches (the analyticProbe closed form — exact).
@@ -108,7 +114,7 @@ AnalyticCostModel::score(const dataflow::SpaceTimeTransform &transform)
         std::int64_t hi = 0;
         for (int c = 0; c < d; c++) {
             std::int64_t reach =
-                    util::satMul(m.at(r, c), bounds_[std::size_t(c)] - 1,
+                    util::satMul(m(r, c), bounds_[std::size_t(c)] - 1,
                                  &result.saturated);
             if (reach < 0)
                 lo = util::satAdd(lo, reach, &result.saturated);
@@ -125,7 +131,8 @@ AnalyticCostModel::score(const dataflow::SpaceTimeTransform &transform)
     }
 
     if (sd > 0) {
-        detail::spatialKernelInto(m, kernel_, &result.saturated);
+        detail::spatialKernelInto(cells.data(), d, kernel_,
+                                  &result.saturated);
         result.pes =
                 detail::distinctImages(bounds_, kernel_, &result.saturated);
     } else {
@@ -148,7 +155,7 @@ AnalyticCostModel::score(const dataflow::SpaceTimeTransform &transform)
             for (int c = 0; c < d; c++)
                 component = util::satAdd(
                         component,
-                        util::satMul(m.at(r, c), conn.diff[std::size_t(c)],
+                        util::satMul(m(r, c), conn.diff[std::size_t(c)],
                                      &result.saturated),
                         &result.saturated);
             spaceDelta_[std::size_t(r)] = component;
@@ -158,7 +165,7 @@ AnalyticCostModel::score(const dataflow::SpaceTimeTransform &transform)
         for (int c = 0; c < d; c++)
             time = util::satAdd(
                     time,
-                    util::satMul(m.at(d - 1, c), conn.diff[std::size_t(c)],
+                    util::satMul(m(d - 1, c), conn.diff[std::size_t(c)],
                                  &result.saturated),
                     &result.saturated);
         pipeline_bits = util::satAdd(

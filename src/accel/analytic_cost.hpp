@@ -31,9 +31,8 @@
  * tests pin it.
  *
  * A model instance is NOT thread-safe: score() reuses internal scratch
- * buffers so a sweep over a million candidates allocates nothing. The
- * DSE tier runs it serially, which is also what makes the tier's
- * ranking trivially byte-identical at any thread or shard count.
+ * buffers so a sweep over a million candidates allocates nothing. Each
+ * DSE scan worker scores with its own copy (accel::FrontHalfScorer).
  *
  * AnalyticTopK is the tier's survivor selection. exploreDataflows and
  * the shard merge (accel/records.hpp) both select through it, so a
@@ -46,6 +45,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -102,6 +102,10 @@ class AnalyticCostModel
      */
     AnalyticScore score(const dataflow::SpaceTimeTransform &transform);
 
+    /** Score the candidate whose row-major matrix is `cells`, as a DSE
+     *  scan decodes it; bit-identical to scoring its transform. */
+    AnalyticScore score(std::span<const std::int64_t> cells);
+
   private:
     /** Transform-independent geometry of one alive conn class. */
     struct ConnGeometry
@@ -131,8 +135,8 @@ class AnalyticCostModel
 
 /**
  * Bounded selection of the best `k` analytically scored candidates,
- * ordered by (saturated, score, enumIndex); `Payload` rides along (a
- * transform in exploreDataflows, a record pointer in the shard merge).
+ * ordered by (saturated, score, enumIndex); `Payload` rides along (the
+ * coefficient code, in exploreDataflows and in the shard merge).
  *
  * The saturated flag, not the clamped magnitude, is the primary key: a
  * clamp rounds to double(INT64_MAX), which can compare *equal* to a

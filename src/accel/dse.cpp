@@ -1,13 +1,11 @@
 #include "accel/dse.hpp"
 
 #include <algorithm>
-#include <any>
 #include <atomic>
 #include <chrono>
 #include <exception>
 
 #include "accel/analytic.hpp"
-#include "accel/analytic_cost.hpp"
 #include "model/area.hpp"
 #include "model/timing.hpp"
 #include "util/fault_inject.hpp"
@@ -141,48 +139,44 @@ DseStats::analyticCandidatesPerSecond() const
     return double(analyticRanked) / (analyticMs / 1e3);
 }
 
-dataflow::AnnotatorFactory
-frontHalfAnnotators(const func::FunctionalSpec &functional,
-                    const IntVec &bounds, const DseOptions &options,
-                    const model::AreaParams &area_params,
-                    const model::TimingParams &timing_params,
-                    std::atomic<std::int64_t> &score_nanos)
+FrontHalfScorer::FrontHalfScorer(const func::FunctionalSpec &functional,
+                                 const IntVec &bounds,
+                                 const DseOptions &options,
+                                 const model::AreaParams &area_params,
+                                 const model::TimingParams &timing_params,
+                                 std::atomic<std::int64_t> &score_nanos)
+    : bounds_(bounds), maxPes_(options.maxPes), scoreNanos_(&score_nanos)
 {
-    const bool tiered = options.analyticTopK > 0;
-    if (!tiered && options.maxPes <= 0)
-        return {};
-    // Built here, on the caller's thread, so its iteration-space walk is
-    // charged to the caller's watchdog once at any thread count; each
-    // worker gets a copy, which walks nothing.
-    std::shared_ptr<const AnalyticCostModel> prototype;
-    if (tiered)
-        prototype = std::make_shared<const AnalyticCostModel>(
-                functional, bounds, options.sparsity, options.dataWidth,
-                options.macBits, area_params, timing_params);
-    return [&, prototype]() -> dataflow::Annotator {
-        std::shared_ptr<AnalyticCostModel> model;
-        if (prototype)
-            model = std::make_shared<AnalyticCostModel>(*prototype);
-        return [&, model](const dataflow::SpaceTimeTransform &transform)
-                       -> std::any {
-            FrontHalfVerdict verdict;
-            verdict.pruned = options.maxPes > 0 &&
-                             analyticPeCount(transform, bounds) >
-                                     options.maxPes;
-            if (verdict.pruned || !model)
-                return verdict;
-            auto start = Clock::now();
-            auto analytic = model->score(transform);
-            score_nanos.fetch_add(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            Clock::now() - start)
-                            .count(),
-                    std::memory_order_relaxed);
-            verdict.saturated = analytic.saturated;
-            verdict.score = analytic.score;
-            return verdict;
-        };
-    };
+    if (options.analyticTopK > 0)
+        model_.emplace(functional, bounds, options.sparsity,
+                       options.dataWidth, options.macBits, area_params,
+                       timing_params);
+}
+
+std::unique_ptr<dataflow::SurvivorScorer>
+FrontHalfScorer::clone() const
+{
+    return std::make_unique<FrontHalfScorer>(*this);
+}
+
+dataflow::Verdict
+FrontHalfScorer::score(std::span<const std::int64_t> cells)
+{
+    dataflow::Verdict verdict;
+    verdict.pruned =
+            maxPes_ > 0 && analyticPeCount(cells, bounds_) > maxPes_;
+    if (verdict.pruned || !model_)
+        return verdict;
+    auto start = Clock::now();
+    auto analytic = model_->score(cells);
+    scoreNanos_->fetch_add(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    Clock::now() - start)
+                    .count(),
+            std::memory_order_relaxed);
+    verdict.saturated = analytic.saturated;
+    verdict.score = analytic.score;
+    return verdict;
 }
 
 std::vector<DseCandidate>
@@ -194,42 +188,34 @@ exploreDataflows(const func::FunctionalSpec &functional,
     DseStats local;
     auto front_start = Clock::now();
 
-    // One front half: the scan workers attach a FrontHalfVerdict to each
-    // survivor (the exact maxPes prune — analyticPeCount equals the
-    // elaborated numPes() — and the closed-form analytic score), and the
-    // sink, which sees survivors in enumeration order, either appends
-    // the survivor to `work` (no analytic tier) or offers it to the
-    // bounded top-K. The transform vector is never materialized, so
-    // 1e8-code walks fit in memory. Dedup, `limit`, the prune counter and
-    // the heap all act in that order, so `work` — and therefore the final
-    // ranking — is byte-identical at any thread or shard count. With an
-    // empty balancing spec the analytic score equals the elaborated one
-    // bit-for-bit, making the filter lossless for the final top-K (see
-    // analytic_cost.hpp).
-    std::vector<std::pair<std::size_t, dataflow::SpaceTimeTransform>> work;
+    // The scan workers attach each survivor's verdict (maxPes prune,
+    // closed-form score); the loop below keeps, in enumeration order,
+    // every unpruned code (no tier) or the top-K, so the ranking is
+    // byte-identical at any thread or shard count, and only kept codes
+    // become transforms. With an empty balancing spec the analytic score
+    // equals the elaborated one, so the filter is lossless.
     const bool tiered = options.analyticTopK > 0;
-    AnalyticTopK<dataflow::SpaceTimeTransform> top(options.analyticTopK);
     std::atomic<std::int64_t> score_nanos{0};
-    dataflow::forEachTransform(
-            functional, options.enumerate,
-            [&](const dataflow::EnumeratedTransform &item) {
-                const auto *verdict =
-                        std::any_cast<FrontHalfVerdict>(&item.annotation);
-                if (verdict != nullptr && verdict->pruned) {
-                    local.prunedEarly++;
-                    return true;
-                }
-                if (!tiered) {
-                    work.emplace_back(item.index, item.transform);
-                    return true;
-                }
-                top.offer({verdict->saturated, verdict->score, item.index},
-                          item.transform);
-                return true;
-            },
-            &local.enumeration,
-            frontHalfAnnotators(functional, bounds, options, area_params,
-                                timing_params, score_nanos));
+    FrontHalfScorer scorer(functional, bounds, options, area_params,
+                           timing_params, score_nanos);
+    AnalyticTopK<std::int64_t> top(options.analyticTopK);
+    std::vector<std::pair<std::size_t, std::int64_t>> kept;
+    {
+        // Scoped so a `limit` stop drops its speculative chunks here.
+        dataflow::SurvivorStream stream(functional, options.enumerate,
+                                        &scorer);
+        dataflow::Survivor s;
+        while (stream.next(s)) {
+            if (s.verdict.pruned)
+                local.prunedEarly++;
+            else if (!tiered)
+                kept.emplace_back(s.index, s.code);
+            else
+                top.offer({s.verdict.saturated, s.verdict.score, s.index},
+                          s.code);
+        }
+        local.enumeration = stream.stats();
+    }
     local.enumerated = std::size_t(local.enumeration.yielded);
     local.orbitSkipped = std::size_t(local.enumeration.orbitSkipped);
     if (tiered) {
@@ -240,11 +226,14 @@ exploreDataflows(const func::FunctionalSpec &functional,
             local.analyticFiltered = top.offered() - top.kept();
             local.analyticMs = double(score_nanos.load()) / 1e6;
         }
-        auto kept = top.takeInIndexOrder();
-        work.reserve(kept.size());
-        for (auto &entry : kept)
-            work.emplace_back(entry.key.index, std::move(entry.payload));
+        for (const auto &entry : top.takeInIndexOrder())
+            kept.emplace_back(entry.key.index, entry.payload);
     }
+    dataflow::detail::CandidateDecoder decoder(functional, options.enumerate);
+    std::vector<std::pair<std::size_t, dataflow::SpaceTimeTransform>> work;
+    work.reserve(kept.size());
+    for (const auto &[index, code] : kept)
+        work.emplace_back(index, decoder.transform(code, index));
     local.enumerateMs = msSince(front_start);
 
     auto candidates = evaluateAndRank(std::move(work), functional, bounds,

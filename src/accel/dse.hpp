@@ -1,10 +1,12 @@
 /**
  * @file
  * Automated design-space exploration: enumerate dataflows for a
- * functional specification, generate each candidate accelerator, and
- * rank them by a delay-area product computed from the timing and area
- * models. This is the "rapid design space exploration" loop the paper's
- * introduction motivates.
+ * functional specification, generate candidate accelerators, and rank
+ * them by a delay-area product from the timing and area models — the
+ * "rapid design space exploration" loop the paper's introduction
+ * motivates. The front half scans coefficient codes, scoring each
+ * survivor in closed form on the scan workers (FrontHalfScorer), and
+ * builds transforms only for the codes it keeps for elaboration.
  */
 
 #ifndef STELLAR_ACCEL_DSE_HPP
@@ -14,9 +16,12 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "accel/analytic_cost.hpp"
 #include "core/accelerator.hpp"
 #include "dataflow/enumerate.hpp"
 #include "model/params.hpp"
@@ -285,34 +290,31 @@ struct DseStats
 };
 
 /**
- * What a scan worker decides about one survivor before the in-order
- * merge (the dataflow::EnumeratedTransform::annotation of the DSE front
- * half): the exact maxPes prune and, for a kept survivor of a tiered
- * run, its closed-form analytic score.
+ * The DSE front half's survivor scorer: the exact maxPes prune
+ * (analyticPeCount equals the elaborated numPes()) and, in a tiered run,
+ * the AnalyticCostModel score with the widths of `options`, timed into
+ * `score_nanos` (which must outlive the scorer and its clones). The
+ * constructor builds the model, so its iteration-space walk charges the
+ * constructing thread's watchdog; the workers' clones walk nothing.
  */
-struct FrontHalfVerdict
+class FrontHalfScorer final : public dataflow::SurvivorScorer
 {
-    bool pruned = false;    //!< over DseOptions::maxPes; never scored
-    bool saturated = false; //!< AnalyticScore::saturated
-    double score = 0.0;     //!< AnalyticScore::score
-};
+  public:
+    FrontHalfScorer(const func::FunctionalSpec &functional,
+                    const IntVec &bounds, const DseOptions &options,
+                    const model::AreaParams &area_params,
+                    const model::TimingParams &timing_params,
+                    std::atomic<std::int64_t> &score_nanos);
 
-/**
- * Build one FrontHalfVerdict annotator per scan worker, each with its
- * own AnalyticCostModel (the model is not thread-safe). Scoring happens
- * only when `options.analyticTopK > 0`, with the model and widths of
- * `options`; the time inside score calls is added to `score_nanos`.
- * The model is built once, in this call, so its iteration-space walk
- * charges the calling thread's watchdog exactly as a serial run would;
- * the workers score with copies, which charge nothing. Empty (no
- * annotation) when there is neither a tier nor a maxPes prune. The
- * referenced arguments must outlive the scan.
- */
-dataflow::AnnotatorFactory frontHalfAnnotators(
-        const func::FunctionalSpec &functional, const IntVec &bounds,
-        const DseOptions &options, const model::AreaParams &area_params,
-        const model::TimingParams &timing_params,
-        std::atomic<std::int64_t> &score_nanos);
+    std::unique_ptr<dataflow::SurvivorScorer> clone() const override;
+    dataflow::Verdict score(std::span<const std::int64_t> cells) override;
+
+  private:
+    IntVec bounds_;
+    std::int64_t maxPes_ = 0;
+    std::optional<AnalyticCostModel> model_; //!< only in a tiered run
+    std::atomic<std::int64_t> *scoreNanos_;
+};
 
 /**
  * Explore dataflows for a spec at the given elaboration bounds. The
@@ -324,11 +326,12 @@ dataflow::AnnotatorFactory frontHalfAnnotators(
  * isolateFailures a throwing candidate becomes a recorded
  * CandidateFailure rather than an exception out of this call.
  *
- * The front half is a single dataflow::forEachTransform: the scan
- * workers compute each survivor's FrontHalfVerdict, and the in-order
- * sink applies the maxPes prune, then either the analytic top-K
- * (analyticTopK > 0) or sends every survivor straight to
- * evaluateAndRank.
+ * The front half is one dataflow::SurvivorStream of plain codes: the
+ * scan workers compute each survivor's verdict with a FrontHalfScorer,
+ * and the in-order consumer applies the maxPes prune, then keeps either
+ * the analytic top-K codes (analyticTopK > 0) or every code. Only the
+ * kept codes become transforms, through the CandidateDecoder the shard
+ * merge also uses, before evaluateAndRank elaborates them.
  */
 std::vector<DseCandidate> exploreDataflows(
         const func::FunctionalSpec &functional, const IntVec &bounds,

@@ -1,7 +1,6 @@
 #include "accel/records.hpp"
 
 #include <algorithm>
-#include <any>
 #include <atomic>
 #include <charconv>
 #include <chrono>
@@ -13,11 +12,9 @@
 #include <string_view>
 #include <tuple>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 #include "accel/analytic.hpp"
-#include "accel/analytic_cost.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/memo.hpp"
@@ -540,37 +537,31 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
     enumerate.shardIndex = shard_index;
     enumerate.shardCount = shard_count;
 
-    // Score on the scan workers with the same annotators, model and
-    // widths the single-process front half uses (DseOptions defaults —
+    // Score on the scan workers with the same scorer, model and widths
+    // the single-process front half uses (DseOptions defaults —
     // renderDse never overrides them), so recorded scores merge
     // bit-for-bit.
     DseOptions front;
     front.maxPes = config.maxPes;
     front.analyticTopK = std::size_t(config.analyticTopK);
     std::atomic<std::int64_t> score_nanos{0};
+    FrontHalfScorer scorer(functional, bounds, front, area_params,
+                           timing_params, score_nanos);
 
-    dataflow::TransformStream stream(
-            functional, enumerate,
-            frontHalfAnnotators(functional, bounds, front, area_params,
-                                timing_params, score_nanos));
-    dataflow::EnumeratedTransform item;
+    dataflow::SurvivorStream stream(functional, enumerate, &scorer);
+    dataflow::Survivor item;
     while (stream.next(item)) {
-        CandidateRecord record;
+        // A maxPes-pruned verdict carries no score (0, unsaturated) —
+        // exactly like the single-process front half. The merge
+        // re-derives the prune from the code.
+        CandidateRecord &record = out.records.emplace_back();
         record.code = item.code;
-        // maxPes-pruned records are never scored — exactly like the
-        // fused single-process sink. The merge re-derives the prune
-        // from the code.
-        const auto &verdict =
-                std::any_cast<const FrontHalfVerdict &>(item.annotation);
-        if (!verdict.pruned) {
-            record.saturated = verdict.saturated;
-            record.score = verdict.score;
-        }
+        record.saturated = item.verdict.saturated;
+        record.score = item.verdict.score;
         record.examinedAfter = item.examinedAfter;
         record.decodedAfter = item.decodedAfter;
         record.rejectedAfter = item.rejectedAfter;
         record.duplicatesAfter = item.duplicatesAfter;
-        out.records.push_back(std::move(record));
     }
     out.stats = stream.stats();
 
@@ -676,97 +667,85 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     }
     const std::size_t analytic_top_k = std::size_t(config.analyticTopK);
     AnalyticTopK<std::int64_t> top(analytic_top_k);
-    // Signature -> the last shard that yielded it. A shard's scan dedups
-    // locally, so a repeat within one shard is a forged record.
-    std::unordered_map<std::vector<std::int64_t>, std::int64_t,
-                       dataflow::SignatureHash>
-            owners;
+    // Each signature with the last shard that yielded it (by entry
+    // number). A shard's scan dedups locally, so a repeat within one
+    // shard is a forged record.
+    dataflow::detail::SignatureSet signatures;
+    std::vector<std::int64_t> owners;
+    // Rejected and duplicate codes through the consumed shards, then
+    // through the stop. Every other counter is a closed form of the
+    // codes examined, which the checks above and below pin each shard's
+    // counts to.
     std::int64_t yielded = 0;
-    std::int64_t merge_duplicates = 0;
-    std::int64_t prior_examined = 0;
-    std::int64_t prior_feasibility = 0;
-    std::int64_t prior_decoded = 0;
-    std::int64_t prior_rejected = 0;
-    std::int64_t prior_duplicates = 0;
-    std::int64_t last_examined = 0;
-    std::int64_t last_decoded = 0;
-    std::int64_t last_rejected = 0;
-    std::int64_t last_duplicates = 0;
+    std::int64_t examined = total;
+    std::int64_t rejected = 0;
+    std::int64_t duplicates = 0;
     bool limited = false;
     for (const ShardRecords &shard : shards) {
         const std::int64_t shard_index = shard.range.shardIndex;
+        const std::int64_t feasible_lo =
+                decoder.feasibleBelow(shard.range.lo);
         for (const CandidateRecord &record : shard.records) {
             if (!decoder.canonical(record.code) ||
                 !decoder.decode(record.code))
                 fail("record code " + std::to_string(record.code) +
                      " does not decode to an orbit-canonical survivor");
-            auto owner = owners.try_emplace(decoder.signature(), shard_index);
-            if (!owner.second) {
-                if (owner.first->second == shard_index)
+            // The scan decodes every feasible code of its slice: through
+            // a yield, exactly those up to and including its own code.
+            const std::int64_t feasible =
+                    decoder.feasibleBelow(record.code + 1) - feasible_lo;
+            if (record.decodedAfter != feasible)
+                fail("record code " + std::to_string(record.code) +
+                     " claims decoded_after " +
+                     std::to_string(record.decodedAfter) +
+                     ", but its shard holds " + std::to_string(feasible) +
+                     " feasible codes through it");
+            auto [entry, fresh] = signatures.insert(decoder.signature());
+            if (!fresh) {
+                if (owners[entry] == shard_index)
                     fail("record code " + std::to_string(record.code) +
                          " repeats a signature its own shard yielded");
                 // An earlier shard yielded the signature — the
                 // single-process walk would have counted it a duplicate.
-                owner.first->second = shard_index;
-                merge_duplicates++;
+                owners[entry] = shard_index;
+                duplicates++;
                 continue;
             }
+            owners.push_back(shard_index);
             std::size_t index = std::size_t(yielded);
             yielded++;
-            last_examined = prior_examined + record.examinedAfter;
-            last_decoded = prior_decoded + record.decodedAfter;
-            last_rejected = prior_rejected + record.rejectedAfter;
-            last_duplicates = prior_duplicates + record.duplicatesAfter +
-                              merge_duplicates;
             if (config.maxPes > 0 &&
-                analyticPeCount(
-                        dataflow::SpaceTimeTransform(decoder.matrix()),
-                        bounds) > config.maxPes) {
+                analyticPeCount(decoder.cells(), bounds) > config.maxPes) {
                 local.prunedEarly++;
             } else {
                 top.offer({record.saturated, record.score, index},
                           record.code);
             }
             if (yielded >= config.enumLimit) {
+                // The ranges tile [0, total), so the stop examined
+                // every code through this one.
+                examined = record.code + 1;
+                rejected += record.rejectedAfter;
+                duplicates += record.duplicatesAfter;
                 limited = true;
                 break;
             }
         }
         if (limited)
             break;
-        prior_examined += shard.range.hi - shard.range.lo;
-        prior_feasibility += shard.stats.feasibilitySkipped;
-        prior_decoded += shard.stats.decoded;
-        prior_rejected += shard.stats.rejected;
-        prior_duplicates += shard.stats.duplicates;
+        rejected += shard.stats.rejected;
+        duplicates += shard.stats.duplicates;
     }
 
+    const std::int64_t canonical = decoder.canonicalBelow(examined);
     local.enumeration.codesTotal = total;
-    if (limited) {
-        // The stop fell at a yield: the skips through its code are the
-        // closed-form canonical count, less what the shard decoded.
-        const std::int64_t canonical =
-                decoder.canonicalBelow(last_examined);
-        if (last_decoded > canonical)
-            fail("a record claims " + std::to_string(last_decoded) +
-                 " decoded codes where its range holds " +
-                 std::to_string(canonical) + " canonical codes");
-        local.enumeration.codesExamined = last_examined;
-        local.enumeration.orbitSkipped = last_examined - canonical;
-        local.enumeration.feasibilitySkipped = canonical - last_decoded;
-        local.enumeration.decoded = last_decoded;
-        local.enumeration.rejected = last_rejected;
-        local.enumeration.duplicates = last_duplicates;
-    } else {
-        local.enumeration.codesExamined = prior_examined;
-        local.enumeration.orbitSkipped =
-                prior_examined - prior_feasibility - prior_decoded;
-        local.enumeration.feasibilitySkipped = prior_feasibility;
-        local.enumeration.decoded = prior_decoded;
-        local.enumeration.rejected = prior_rejected;
-        local.enumeration.duplicates = prior_duplicates +
-                                       merge_duplicates;
-    }
+    local.enumeration.codesExamined = examined;
+    local.enumeration.orbitSkipped = examined - canonical;
+    local.enumeration.decoded = decoder.feasibleBelow(examined);
+    local.enumeration.feasibilitySkipped =
+            canonical - local.enumeration.decoded;
+    local.enumeration.rejected = rejected;
+    local.enumeration.duplicates = duplicates;
     local.enumeration.yielded = yielded;
     local.enumerated = std::size_t(yielded);
     local.orbitSkipped = std::size_t(local.enumeration.orbitSkipped);
@@ -776,14 +755,9 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     }
     std::vector<std::pair<std::size_t, dataflow::SpaceTimeTransform>>
             work;
-    for (const auto &entry : top.takeInIndexOrder()) {
-        decoder.decode(entry.payload); // the walk proved it survives
-        work.emplace_back(
-                entry.key.index,
-                dataflow::SpaceTimeTransform(
-                        decoder.matrix(),
-                        "enumerated-" + std::to_string(entry.key.index)));
-    }
+    for (const auto &entry : top.takeInIndexOrder())
+        work.emplace_back(entry.key.index,
+                          decoder.transform(entry.payload, entry.key.index));
     // The shard scans did the scoring; the fold scores nothing, so the
     // whole walk is enumeration time and analyticMs stays 0.
     local.enumerateMs = std::chrono::duration<double, std::milli>(

@@ -6,20 +6,17 @@
  *
  * A shard scan (`scanShard`) owns one contiguous slice of the
  * coefficient-code space, cut at equal counts of feasible codes
- * (EnumerateOptions::{shardIndex, shardCount}, the split
- * CandidateDecoder::shardRange computes), and records every
- * locally-deduplicated survivor: its
- * code, closed-form analytic score, and the serial-equivalent scan
- * counters through that yield — not its matrix, signature or PE count,
- * which are pure functions of the code. The merge (`mergeShardRecords`)
- * re-derives those through one dataflow::detail::CandidateDecoder as it
- * folds N shard files in code order against a global signature set —
- * exactly the consuming walk TransformStream runs over its chunks,
- * lifted to files — then elaborates the folded survivors through the
- * same `evaluateAndRank` back half a single-process run uses. The
- * merged ranking and `DseStats` are therefore bit-for-bit what one
- * process scanning the whole space would produce
- * (tests/shard_merge_test.cpp pins this differentially).
+ * (CandidateDecoder::shardRange), and records every locally-deduplicated
+ * survivor: its code, closed-form analytic score, and the
+ * serial-equivalent scan counters through that yield — not its matrix,
+ * signature or PE count, which are pure functions of the code. The
+ * merge (`mergeShardRecords`) re-derives those through one
+ * dataflow::detail::CandidateDecoder as it folds N shard files in code
+ * order against a global signature set — the consuming walk a
+ * SurvivorStream runs over its chunks, lifted to files — then
+ * elaborates the folded survivors through the same `evaluateAndRank`
+ * back half, so the merged ranking and `DseStats` are bit-for-bit a
+ * single process's (tests/shard_merge_test.cpp pins this).
  *
  * The on-disk format is one line of JSON carrying a version, a kind
  * tag, and an FNV-1a checksum over the payload's raw bytes. The reader
@@ -27,10 +24,10 @@
  * produces (docs/DISTRIBUTED.md has the grammar), so any damaged or
  * re-spelled byte is rejected as a classified FatalError before a
  * single record is admitted. Mixed versions are refused at parse;
- * ranges that gap, overlap or miss the spec's cuts, a `decoded` count
- * other than the range's feasible codes, and a code that does not
- * decode to an orbit-canonical survivor are refused at merge, and
- * shuffled input order changes nothing.
+ * ranges that gap, overlap or miss the spec's cuts, a `decoded` or
+ * `decoded_after` count other than the feasible codes it covers, and a
+ * code that does not decode to an orbit-canonical survivor are refused
+ * at merge, and shuffled input order changes nothing.
  */
 
 #ifndef STELLAR_ACCEL_RECORDS_HPP
@@ -174,12 +171,11 @@ struct MergeEvalOptions
  * anything), then elaborate the survivors through `evaluateAndRank`. A
  * walked code that is not an orbit-canonical survivor, a code that
  * repeats a signature its own shard already yielded, and scan counters
- * that disagree with the closed-form canonical or feasible code count
- * of their range (CandidateDecoder::canonicalBelow, feasibleBelow) are
- * classified errors. The
- * returned candidates and `stats` match a single-process
- * `exploreDataflows` run over the whole space bit-for-bit (timings
- * excepted — they measure this process's walls).
+ * (a shard's, or a record's `decoded_after`) that disagree with the
+ * closed-form canonical or feasible code count they cover
+ * (CandidateDecoder::canonicalBelow, feasibleBelow) are classified
+ * errors. The returned candidates and `stats` match a single-process
+ * `exploreDataflows` run bit-for-bit (timings excepted).
  */
 std::vector<DseCandidate> mergeShardRecords(
         std::vector<ShardRecords> shards,

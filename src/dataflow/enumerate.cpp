@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <cstdlib>
+#include <deque>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -20,12 +18,10 @@ namespace stellar::dataflow
 namespace
 {
 
-/** The scan's signature dedup sets; only membership is ever read. */
-using SignatureSet =
-        std::unordered_set<std::vector<std::int64_t>, SignatureHash>;
-
-/** Size of the first scan chunk (chunks then grow geometrically). */
-constexpr std::int64_t kFirstChunkCodes = 4096;
+/** Feasible codes in the first scan chunk and the cap the chunks
+ *  double up to (chunkStart). */
+constexpr std::int64_t kFirstChunkCodes = 256;
+constexpr std::int64_t kMaxChunkCodes = 2048;
 
 int
 checkedIndices(const func::FunctionalSpec &spec)
@@ -181,16 +177,14 @@ constexpr std::int64_t kMaxTabulatedBlock = std::int64_t(1) << 16;
  * (dt_k = t . diff_k >= 0, or > 0 without broadcast) reads the time row
  * alone, and the hop count sum_r |s_r . diff_k| adds one term per
  * spatial row, so both are decided block by block without decoding:
- * `nextCausal` walks over acausal time rows and `hops` holds every
- * block's per-recurrence hop cost.
+ * `causal` tests one time row and `hops` holds every block's
+ * per-recurrence hop cost.
  */
 struct RowTables
 {
     std::vector<IntVec> diffs; //!< one per recurrence
     bool allowBroadcast = true;
     std::vector<std::int64_t> hops; //!< hops[b * recs + k]
-    std::array<std::int64_t, 4> firstSpatial{}; //!< least feasible tuple
-    bool anySpatial = false;
     /** With one iterator a time row is one coefficient c, and each
      *  recurrence bounds c on one side (c * d >= 0), so the causal rows
      *  are the interval [causalFirst, causalEnd). */
@@ -214,19 +208,6 @@ struct RowTables
         return v;
     }
 
-    /** The smallest causal time row in [t, end), or `end` when none. */
-    std::int64_t nextCausal(const Geometry &g, std::int64_t t,
-                            std::int64_t end) const
-    {
-        if (g.spatialRows == 0) {
-            t = std::max(t, causalFirst);
-            return t < causalEnd ? std::min(t, end) : end;
-        }
-        while (t < end && !causal(g, t))
-            t++;
-        return t;
-    }
-
     bool causal(const Geometry &g, std::int64_t t) const
     {
         for (const auto &diff : diffs) {
@@ -238,48 +219,6 @@ struct RowTables
     }
 };
 
-/**
- * The smallest spatial tuple w[i..m) that is canonical (each digit in
- * [floor, cap], non-decreasing when orbit skipping is on) and whose
- * per-recurrence hop costs fit `budgets[i]` — and, when `tight`, is
- * lexicographically >= the tuple already in `w`. Writes it into `w` and
- * returns true, or returns false leaving `w` as it was.
- * `budgets` holds (m + 1) rows of per-recurrence budgets, the first set
- * by the caller; the digits are tried in increasing order, so the first
- * complete tuple is the smallest.
- */
-bool
-fillSpatial(const Geometry &g, const RowTables &rows,
-            std::array<std::int64_t, 4> &w, std::int64_t *budgets, int i,
-            bool tight, std::int64_t floor_v)
-{
-    const int m = g.spatialRows;
-    if (i == m)
-        return true;
-    const std::size_t recs = rows.recs();
-    const std::int64_t *budget = budgets + std::size_t(i) * recs;
-    std::int64_t *left = budgets + std::size_t(i + 1) * recs;
-    // Raising a digit above `w`'s frees every digit after it.
-    const std::int64_t original = w[std::size_t(i)];
-    for (std::int64_t v = tight ? std::max(original, floor_v) : floor_v;
-         v <= g.cap; v++) {
-        const std::int64_t *cost = rows.hops.data() + std::size_t(v) * recs;
-        bool fits = true;
-        for (std::size_t k = 0; k < recs && fits; k++) {
-            left[k] = budget[k] - cost[k];
-            fits = left[k] >= 0;
-        }
-        if (!fits)
-            continue;
-        if (fillSpatial(g, rows, w, budgets, i + 1, tight && v == original,
-                        g.canonical ? v : 0)) {
-            w[std::size_t(i)] = v;
-            return true;
-        }
-    }
-    return false;
-}
-
 RowTables::RowTables(const Geometry &g,
                      const std::vector<func::Recurrence> &recurrences,
                      const EnumerateOptions &options)
@@ -288,9 +227,7 @@ RowTables::RowTables(const Geometry &g,
     for (const auto &rec : recurrences)
         diffs.push_back(rec.diff);
     const std::int64_t B = g.rowBlock;
-    const int m = g.spatialRows;
-    if (m == 0) {
-        anySpatial = diffs.empty() || options.maxHopLength >= 0;
+    if (g.spatialRows == 0) {
         std::int64_t lo = g.minCoeff;
         std::int64_t hi = g.minCoeff + g.range - 1;
         const std::int64_t strict = allowBroadcast ? 0 : 1;
@@ -310,28 +247,31 @@ RowTables::RowTables(const Geometry &g,
     for (std::int64_t b = 0; b < B; b++)
         for (const auto &diff : diffs)
             hops.push_back(std::llabs(rowDot(g, b, diff)));
-    std::vector<std::int64_t> budgets(std::size_t(m + 1) * recs(),
-                                      options.maxHopLength);
-    anySpatial = fillSpatial(g, *this, firstSpatial, budgets.data(), 0,
-                             false, 0);
 }
 
 /**
- * Append the in-row offset of every spatial tuple w[i..m) that
- * fillSpatial accepts (canonical, within the hop budgets), in increasing
- * order; `prefix` is the offset of w[0..i).
+ * Append the in-row offset of every spatial tuple w[i..m) that is
+ * canonical (each digit in [floor, cap], non-decreasing when orbit
+ * skipping is on) and whose per-recurrence hop costs fit the budgets,
+ * in increasing order; `prefix` is the offset of w[0..i). `budgets`
+ * holds (m + 1) rows of per-recurrence budgets, the first set by the
+ * caller.
  */
 void
 collectSpatial(const Geometry &g, const RowTables &rows,
                std::int64_t *budgets, int i, std::int64_t floor_v,
                std::int64_t prefix, std::vector<std::int64_t> &out)
 {
-    if (i == g.spatialRows) {
-        out.push_back(prefix);
-        return;
-    }
     const std::size_t recs = rows.recs();
     const std::int64_t *budget = budgets + std::size_t(i) * recs;
+    if (i == g.spatialRows) {
+        // Without spatial rows every hop count is 0: the tuple fits
+        // unless the limit itself is negative.
+        if (std::all_of(budget, budget + recs,
+                        [](std::int64_t left) { return left >= 0; }))
+            out.push_back(prefix);
+        return;
+    }
     std::int64_t *left = budgets + std::size_t(i + 1) * recs;
     for (std::int64_t v = floor_v; v <= g.cap; v++) {
         const std::int64_t *cost = rows.hops.data() + std::size_t(v) * recs;
@@ -348,11 +288,11 @@ collectSpatial(const Geometry &g, const RowTables &rows,
 
 /**
  * The feasible codes (orbit-canonical, causal and within the hop limit:
- * exactly the codes the scan decodes), counted and indexed in closed
- * form so shards can be cut at equal feasible counts. Causality reads
- * only the time row and the hop cost only the spatial blocks, so every
- * causal time row holds the same S = tuples.size() feasible in-row
- * offsets, and for code = t * rowSpan + w
+ * exactly the codes the scan decodes), counted, indexed and walked in
+ * closed form. Causality reads only the time row and the hop cost only
+ * the spatial blocks, so every causal time row holds the same
+ * S = tuples.size() feasible in-row offsets, and for
+ * code = t * rowSpan + w
  *
  *   feasibleBelow(code) = causalBelow(t) * S + [t causal] * #{tuples < w}.
  *
@@ -368,6 +308,7 @@ struct FeasibleIndex
         std::int64_t end = 0;    //!< first row after it
         std::int64_t before = 0; //!< causal rows in earlier runs
     };
+    using RunIt = std::vector<Run>::const_iterator;
 
     std::int64_t total = 0;
     std::int64_t rowSpan = 1;
@@ -380,8 +321,6 @@ struct FeasibleIndex
                   std::int64_t max_hop)
         : total(g.total), rowSpan(g.total / g.rowBlock)
     {
-        if (!rows.anySpatial)
-            return;
         std::vector<std::int64_t> budgets(
                 std::size_t(g.spatialRows + 1) * rows.recs(), max_hop);
         collectSpatial(g, rows, budgets.data(), 0, 0, 0, tuples);
@@ -427,19 +366,43 @@ struct FeasibleIndex
         return out;
     }
 
+    /** The run and time row holding the k-th feasible code (k < count). */
+    std::pair<RunIt, std::int64_t> rowOf(std::int64_t k) const
+    {
+        const std::int64_t row = k / std::int64_t(tuples.size());
+        auto run = std::upper_bound(
+                runs.begin(), runs.end(), row,
+                [](std::int64_t r, const Run &x) { return r < x.before; });
+        --run;
+        return {run, run->first + row - run->before};
+    }
+
     /** The k-th feasible code (0-based), or `total` when k == count. */
     std::int64_t codeAt(std::int64_t k) const
     {
         if (k >= count)
             return total;
-        const std::int64_t per_row = std::int64_t(tuples.size());
-        const std::int64_t row = k / per_row;
-        auto run = std::upper_bound(
-                runs.begin(), runs.end(), row,
-                [](std::int64_t r, const Run &x) { return r < x.before; });
-        --run;
-        return (run->first + row - run->before) * rowSpan +
-               tuples[std::size_t(k % per_row)];
+        return rowOf(k).second * rowSpan +
+               tuples[std::size_t(k % std::int64_t(tuples.size()))];
+    }
+
+    /** Call visit(code) for the feasible codes of ranks [first, end) in
+     *  increasing order: the runs' rows times the sorted tuples. */
+    template <typename Visit>
+    void forEach(std::int64_t first, std::int64_t end, Visit &&visit) const
+    {
+        if (first >= end)
+            return;
+        auto [run, t] = rowOf(first);
+        std::size_t j = std::size_t(first % std::int64_t(tuples.size()));
+        for (std::int64_t k = first; k < end; k++) {
+            visit(t * rowSpan + tuples[j]);
+            if (++j < tuples.size())
+                continue;
+            j = 0;
+            if (++t == run->end && ++run != runs.end())
+                t = run->first;
+        }
     }
 
     /** Where shard `index` of `count` begins: code 0 for the first
@@ -454,70 +417,33 @@ struct FeasibleIndex
 };
 
 /**
- * Per-chunk scan scratch. Decodes into a flat cell array, takes its
+ * Per-worker decode scratch. Decodes into a flat cell array, takes its
  * determinant without allocating (rowMajorDeterminant, n <= 4), and
- * builds signatures into reused buffers — the hot loop allocates only
- * for survivors.
+ * builds signatures into reused buffers, so a decode never allocates.
  */
 struct Scanner
 {
     const Geometry &g;
     const std::vector<func::Recurrence> &recurrences;
     const EnumerateOptions &options;
-    const RowTables &rows;
     std::array<std::int64_t, 16> cells{};
     std::vector<IntVec> columns;       //!< per-spatial-axis |st|, reused
     std::vector<std::int64_t> times;   //!< per-recurrence dt, reused
     std::vector<std::int64_t> signature;
-    std::array<std::int64_t, 4> w{};   //!< nextFeasible's spatial digits
-    std::vector<std::int64_t> budgets; //!< nextFeasible's hop budgets
-    std::int64_t rowSpan = 1;          //!< codes per time row
 
     Scanner(const Geometry &geometry,
             const std::vector<func::Recurrence> &recs,
-            const EnumerateOptions &opts, const RowTables &tables)
-        : g(geometry), recurrences(recs), options(opts), rows(tables)
+            const EnumerateOptions &opts)
+        : g(geometry), recurrences(recs), options(opts)
     {
         columns.assign(std::size_t(g.n - 1 > 0 ? g.n - 1 : 0),
                        IntVec(recs.size(), 0));
         times.assign(recs.size(), 0);
-        budgets.assign(std::size_t(g.spatialRows + 1) * recs.size(),
-                       opts.maxHopLength);
-        rowSpan = g.total / g.rowBlock;
     }
 
-    /**
-     * The smallest code in [code, hi) that is orbit-canonical, causal
-     * and within the hop limit (`hi` when none is) — exactly the codes
-     * the scan decodes. Digits are (t, w[0], ..., w[m-1]), most
-     * significant first: keep `code`'s causal time row if the spatial
-     * digits can be completed at or above `code`'s, else move to the
-     * next causal time row and the least feasible spatial tuple, which
-     * is the same in every time row. The walk over acausal time rows
-     * stops at the last row that reaches into [code, hi), so a chunk
-     * never walks past its own codes.
-     */
-    std::int64_t nextFeasible(std::int64_t code, std::int64_t hi)
+    std::span<const std::int64_t> cellSpan() const
     {
-        if (code >= hi || !rows.anySpatial)
-            return hi;
-        const std::int64_t row_end = (hi - 1) / rowSpan + 1;
-        const std::int64_t row = splitCode(g, code, w);
-        std::int64_t t = rows.nextCausal(g, row, row_end);
-        bool same_row = t == row;
-        if (same_row &&
-            !fillSpatial(g, rows, w, budgets.data(), 0, true, 0)) {
-            t = rows.nextCausal(g, t + 1, row_end);
-            same_row = false;
-        }
-        if (t >= row_end)
-            return hi;
-        if (!same_row)
-            w = rows.firstSpatial;
-        std::int64_t out = t;
-        for (int i = 0; i < g.spatialRows; i++)
-            out = out * g.rowBlock + w[std::size_t(i)];
-        return std::min(out, hi);
+        return {cells.data(), std::size_t(g.n * g.n)};
     }
 
     /** Decode + filter `code`; true when it survives (signature set). */
@@ -580,95 +506,109 @@ struct Scanner
     }
 };
 
-/**
- * One chunk-local survivor. The `*After` counters snapshot the chunk's
- * accounting through this survivor's code, so a `limit` stop can report
- * exactly the stats the serial scan would have at that code.
- */
-struct ChunkSurvivor
+/** One scan worker's state, borrowed for one chunk at a time. */
+struct Worker
 {
-    std::int64_t code = 0;
-    SpaceTimeTransform transform; //!< named when the merge yields it
-    std::vector<std::int64_t> signature;
-    std::any annotation;
-    std::int64_t examinedAfter = 0; //!< codes of this chunk covered
-    std::int64_t decodedAfter = 0;
-    std::int64_t rejectedAfter = 0;
-    std::int64_t duplicatesAfter = 0;
+    Scanner scanner;
+    std::unique_ptr<SurvivorScorer> scorer;
+    detail::SignatureSet local; //!< the chunk's signatures, in order
 };
 
-struct ChunkResult
+/** A slice of the scan: the codes [lo, hi), which hold the feasible
+ *  codes of ranks [first, end). */
+struct Chunk
 {
     std::int64_t lo = 0;
     std::int64_t hi = 0;
-    std::int64_t decoded = 0;
-    std::int64_t rejected = 0;
-    std::int64_t duplicates = 0; //!< chunk-local signature duplicates
-    std::vector<ChunkSurvivor> survivors;
+    std::int64_t first = 0;
+    std::int64_t end = 0;
 };
 
 /**
- * Scan [lo, hi), decoding only the codes nextFeasible lands on,
- * dedup-ing locally by signature (keeping the first code of each —
- * exactly what the global in-order merge keeps), and annotating each
- * local survivor when an annotator is given.
+ * Feasible codes in the chunks before chunk `i`, a fixed schedule: a
+ * small first chunk so a tiny `limit` stops after near-serial work,
+ * then doubling to a cap that keeps the in-flight survivors few. A
+ * chunk's work is in proportion to its feasible codes.
  */
-ChunkResult
-scanChunk(Scanner &scanner, std::int64_t lo, std::int64_t hi,
-          const Annotator &annotate)
+std::int64_t
+chunkStart(std::size_t i)
 {
-    ChunkResult res;
-    res.lo = lo;
-    res.hi = hi;
-    SignatureSet local;
-    for (std::int64_t code = scanner.nextFeasible(lo, hi); code < hi;
-         code = scanner.nextFeasible(code + 1, hi)) {
-        res.decoded++;
-        if (!scanner.decode(code)) {
-            res.rejected++;
-            continue;
-        }
-        if (!local.insert(scanner.signature).second) {
-            res.duplicates++;
-            continue;
-        }
-        ChunkSurvivor s;
-        s.code = code;
-        s.transform = SpaceTimeTransform(scanner.materialize());
-        s.signature = scanner.signature;
-        if (annotate)
-            s.annotation = annotate(s.transform);
-        s.examinedAfter = code - lo + 1;
-        s.decodedAfter = res.decoded;
-        s.rejectedAfter = res.rejected;
-        s.duplicatesAfter = res.duplicates;
-        res.survivors.push_back(std::move(s));
-    }
-    return res;
+    std::int64_t start = 0;
+    std::int64_t size = kFirstChunkCodes;
+    for (; i > 0 && size < kMaxChunkCodes; i--, size *= 2)
+        start += size;
+    return start + std::int64_t(i) * size;
 }
 
 /**
- * Deterministic chunk schedule, independent of the thread count: early
- * chunks are small so tiny `limit`s stop after near-serial work, later
- * chunks grow geometrically to amortize merge overhead. The cap keeps
- * the survivors of the in-flight window small: a chunk costs work in
- * proportion to its feasible codes only, so more chunks cost little.
+ * Chunk `i` of the scan of `whole` (none past the last): ranks
+ * whole.first + [chunkStart(i), chunkStart(i + 1)). The first chunk
+ * starts at whole.lo, the last ends at whole.hi and every edge between
+ * is a feasible code, so the chunks tile `whole`.
  */
-std::vector<std::pair<std::int64_t, std::int64_t>>
-chunkBounds(std::int64_t total)
+std::optional<Chunk>
+chunkOf(const FeasibleIndex &index, const Chunk &whole, std::size_t i)
 {
-    std::vector<std::pair<std::int64_t, std::int64_t>> out;
-    std::int64_t lo = 0;
-    std::int64_t size = kFirstChunkCodes;
-    while (lo < total) {
-        std::int64_t hi = std::min(total, lo + size);
-        out.emplace_back(lo, hi);
-        lo = hi;
-        size = std::min<std::int64_t>(size * 2, std::int64_t(1) << 18);
-    }
-    if (out.empty())
-        out.emplace_back(0, 0);
-    return out;
+    const std::int64_t first = whole.first + chunkStart(i);
+    if (i > 0 && first >= whole.end)
+        return std::nullopt;
+    const std::int64_t end =
+            std::min(whole.end, whole.first + chunkStart(i + 1));
+    return Chunk{i == 0 ? whole.lo : index.codeAt(first),
+                 end == whole.end ? whole.hi : index.codeAt(end), first,
+                 end};
+}
+
+/** Add `from`'s `*After` counters to `to`'s. */
+void
+accumulate(Survivor &to, const Survivor &from)
+{
+    to.examinedAfter += from.examinedAfter;
+    to.decodedAfter += from.decodedAfter;
+    to.rejectedAfter += from.rejectedAfter;
+    to.duplicatesAfter += from.duplicatesAfter;
+}
+
+struct ChunkResult
+{
+    Survivor totals; //!< the chunk's counts, in `*After` form
+    /** Chunk-local survivors: `*After` relative to the chunk, no index. */
+    std::vector<Survivor> survivors;
+    std::vector<std::int64_t> signatures; //!< back to back, in order
+};
+
+/**
+ * Decode the feasible codes of `chunk` straight off the index, dedup
+ * them locally by signature (keeping the first code of each — exactly
+ * what the global in-order merge keeps), and score each local survivor
+ * from its cells when the worker has a scorer.
+ */
+ChunkResult
+scanChunk(Worker &worker, const FeasibleIndex &index, const Chunk &chunk)
+{
+    ChunkResult res;
+    Survivor &totals = res.totals;
+    totals.examinedAfter = chunk.hi - chunk.lo;
+    Scanner &scanner = worker.scanner;
+    worker.local.clear();
+    index.forEach(chunk.first, chunk.end, [&](std::int64_t code) {
+        totals.decodedAfter++;
+        if (!scanner.decode(code)) {
+            totals.rejectedAfter++;
+            return;
+        }
+        if (!worker.local.insert(scanner.signature).second) {
+            totals.duplicatesAfter++;
+            return;
+        }
+        Survivor &s = res.survivors.emplace_back(totals);
+        s.code = code;
+        s.examinedAfter = code - chunk.lo + 1;
+        if (worker.scorer)
+            s.verdict = worker.scorer->score(scanner.cellSpan());
+    });
+    res.signatures = worker.local.values();
+    return res;
 }
 
 /** What every decode under one (spec, options) pair shares. */
@@ -678,7 +618,7 @@ struct ScanContext
     Geometry g;
     std::vector<func::Recurrence> recurrences;
     RowTables rows;
-    Scanner scanner; //!< serial/decode scratch; references the above
+    Scanner scanner; //!< decode scratch; references the above
     std::optional<FeasibleIndex> feasible; //!< built on first use
 
     ScanContext(const func::FunctionalSpec &spec,
@@ -687,7 +627,7 @@ struct ScanContext
           g(geometryFor(checkedIndices(spec), opts)),
           recurrences(spec.recurrences()),
           rows(g, recurrences, options),
-          scanner(g, recurrences, options, rows)
+          scanner(g, recurrences, options)
     {
     }
 
@@ -715,30 +655,34 @@ struct ScanContext
                 feasible_codes.cut(index + 1, count)};
     }
 
-    /** The scan's chunk schedule: the whole space unsharded, else the
-     *  bounds of chunkBounds(hi - lo) shifted onto the shard's [lo, hi).
-     *  The scan needs no other change: nextFeasible starts anywhere. */
-    std::vector<std::pair<std::int64_t, std::int64_t>> chunkSchedule()
+    /** The named transform of a surviving code. */
+    SpaceTimeTransform transform(std::int64_t code, std::size_t index)
     {
-        if (options.shardCount <= 0)
-            return chunkBounds(g.total);
-        auto [lo, hi] = shardRange(options.shardIndex, options.shardCount);
-        auto out = chunkBounds(hi - lo);
-        for (auto &bounds : out) {
-            bounds.first += lo;
-            bounds.second += lo;
-        }
-        return out;
+        if (!scanner.decode(code))
+            fatal("code " + std::to_string(code) +
+                  " does not decode to a survivor");
+        return SpaceTimeTransform(scanner.materialize(),
+                                  "enumerated-" + std::to_string(index));
+    }
+
+    /** The whole space unsharded, else the shard's slice. */
+    Chunk scope()
+    {
+        std::pair<std::int64_t, std::int64_t> range(0, g.total);
+        if (options.shardCount > 0)
+            range = shardRange(options.shardIndex, options.shardCount);
+        const FeasibleIndex &index = feasibleIndex();
+        return {range.first, range.second, index.below(range.first),
+                index.below(range.second)};
     }
 };
 
 } // namespace
 
-struct TransformStream::Impl : ScanContext
+struct SurvivorStream::Impl : ScanContext
 {
-    std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-    std::int64_t rangeLo = 0; //!< first code of the (shard) range
-    std::int64_t rangeHi = 0; //!< first code past it
+    const SurvivorScorer *scorer = nullptr;
+    Chunk whole; //!< the range the stream covers
     std::size_t nextToIssue = 0;
     std::size_t window = 0;
 
@@ -747,27 +691,19 @@ struct TransformStream::Impl : ScanContext
     bool haveCurrent = false;
     bool done = false;
 
-    SignatureSet signatures;
-    // Totals over fully consumed chunks; merge-level duplicates are
-    // tracked separately because they belong to the consuming walk.
-    std::int64_t priorExamined = 0;
-    std::int64_t priorDecoded = 0;
-    std::int64_t priorRejected = 0;
-    std::int64_t priorDuplicates = 0;
-    std::int64_t mergeDuplicates = 0;
-    // Serial-equivalent accounting at the last yielded code, for
-    // `limit`/stop() finalization.
-    std::int64_t lastExamined = 0;
-    std::int64_t lastDecoded = 0;
-    std::int64_t lastRejected = 0;
-    std::int64_t lastDuplicates = 0;
+    detail::SignatureSet signatures;
+    std::size_t width = 0; //!< signature length
+    // The `*After` counters of `prior` total the fully consumed chunks,
+    // merge-level duplicates included; `last` is the last yield, where
+    // a `limit` or stop() finalizes.
+    Survivor prior;
+    Survivor last;
     EnumerateStats stats;
 
-    // One annotator per worker: a chunk task borrows an idle one (or
-    // builds one) and returns it when the chunk is scanned.
-    AnnotatorFactory annotators;
+    // Idle workers: a chunk borrows one (or builds one, cloning the
+    // scorer on its own thread) and returns it.
     std::mutex idleMutex;
-    std::vector<Annotator> idle;
+    std::vector<std::unique_ptr<Worker>> idle;
 
     std::deque<std::future<ChunkResult>> inflight;
     // Declared last: destroyed first, so worker tasks referencing the
@@ -775,150 +711,122 @@ struct TransformStream::Impl : ScanContext
     std::unique_ptr<util::ThreadPool> pool;
 
     Impl(const func::FunctionalSpec &spec, const EnumerateOptions &opts,
-         AnnotatorFactory factory)
-        : ScanContext(spec, opts), chunks(chunkSchedule()),
-          rangeLo(chunks.front().first), rangeHi(chunks.back().second),
-          annotators(std::move(factory))
+         const SurvivorScorer *survivor_scorer)
+        : ScanContext(spec, opts), scorer(survivor_scorer), whole(scope())
     {
         stats.codesTotal = g.total;
+        width = recurrences.empty() ? 0
+                                    : std::size_t(g.n) * recurrences.size();
         std::size_t threads = options.threads;
         if (threads == 0)
             threads = std::max<std::size_t>(
                     1, std::thread::hardware_concurrency());
-        if (threads > 1 && chunks.size() > 1) {
+        if (threads > 1 && chunkOf(*feasible, whole, 1)) {
             window = threads * 2 + 2;
             pool = std::make_unique<util::ThreadPool>(threads);
         }
     }
 
-    Annotator borrowAnnotator()
+    ChunkResult scan(const Chunk &chunk)
     {
-        if (!annotators)
-            return {};
+        std::unique_ptr<Worker> worker;
         {
             std::lock_guard<std::mutex> lock(idleMutex);
             if (!idle.empty()) {
-                Annotator out = std::move(idle.back());
+                worker = std::move(idle.back());
                 idle.pop_back();
-                return out;
             }
         }
-        return annotators();
-    }
-
-    void returnAnnotator(Annotator annotator)
-    {
-        if (!annotator)
-            return;
+        if (!worker)
+            worker.reset(new Worker{Scanner(g, recurrences, options),
+                                    scorer ? scorer->clone() : nullptr,
+                                    {}});
+        ChunkResult res = scanChunk(*worker, *feasible, chunk);
         std::lock_guard<std::mutex> lock(idleMutex);
-        idle.push_back(std::move(annotator));
-    }
-
-    ChunkResult scan(Scanner &scanner,
-                     std::pair<std::int64_t, std::int64_t> bounds)
-    {
-        Annotator annotate = borrowAnnotator();
-        ChunkResult res =
-                scanChunk(scanner, bounds.first, bounds.second, annotate);
-        returnAnnotator(std::move(annotate));
+        idle.push_back(std::move(worker));
         return res;
     }
 
-    void issueChunk()
+    /** Submit chunks until the window is full or none are left. */
+    void issueChunks()
     {
-        auto bounds = chunks[nextToIssue++];
-        inflight.push_back(pool->submit([this, bounds]() {
-            Scanner local(g, recurrences, options, rows);
-            return scan(local, bounds);
-        }));
+        while (inflight.size() < window) {
+            auto chunk = chunkOf(*feasible, whole, nextToIssue);
+            if (!chunk)
+                return;
+            nextToIssue++;
+            inflight.push_back(
+                    pool->submit([this, c = *chunk]() { return scan(c); }));
+        }
     }
 
     bool fetchNextChunk()
     {
         if (pool) {
-            while (inflight.size() < window && nextToIssue < chunks.size())
-                issueChunk();
+            issueChunks();
             if (inflight.empty())
                 return false;
             current = inflight.front().get();
             inflight.pop_front();
-            while (inflight.size() < window && nextToIssue < chunks.size())
-                issueChunk();
+            issueChunks();
         } else {
-            if (nextToIssue >= chunks.size())
+            auto chunk = chunkOf(*feasible, whole, nextToIssue);
+            if (!chunk)
                 return false;
-            current = scan(scanner, chunks[nextToIssue++]);
+            nextToIssue++;
+            current = scan(*chunk);
         }
         cursor = 0;
         haveCurrent = true;
         return true;
     }
 
-    /** Fill the counters for a scan that covered `examined` codes from
-     *  the range start; the two skip counts follow in closed form. */
-    void finalize(std::int64_t examined, std::int64_t decoded,
-                  std::int64_t rejected, std::int64_t duplicates)
+    /** Fill the counters for a scan whose accounting ends at `through`;
+     *  the two skip counts follow in closed form. */
+    void finalize(const Survivor &through)
     {
+        const std::int64_t examined = through.examinedAfter;
         const std::int64_t canonical =
-                canonicalBelow(g, rangeLo + examined) -
-                canonicalBelow(g, rangeLo);
+                canonicalBelow(g, whole.lo + examined) -
+                canonicalBelow(g, whole.lo);
         stats.codesExamined = examined;
         stats.orbitSkipped = examined - canonical;
-        stats.feasibilitySkipped = canonical - decoded;
-        stats.decoded = decoded;
-        stats.rejected = rejected;
-        stats.duplicates = duplicates;
+        stats.feasibilitySkipped = canonical - through.decodedAfter;
+        stats.decoded = through.decodedAfter;
+        stats.rejected = through.rejectedAfter;
+        stats.duplicates = through.duplicatesAfter;
         done = true;
     }
 
-    void finalizeAtLastYield()
-    {
-        finalize(lastExamined, lastDecoded, lastRejected, lastDuplicates);
-    }
-
-    bool next(EnumeratedTransform &out)
+    bool next(Survivor &out)
     {
         if (done)
             return false;
         for (;;) {
             while (haveCurrent && cursor < current.survivors.size()) {
-                ChunkSurvivor &s = current.survivors[cursor++];
-                if (!signatures.insert(s.signature).second) {
-                    mergeDuplicates++;
+                const Survivor &s = current.survivors[cursor];
+                const std::int64_t *signature =
+                        current.signatures.data() + cursor * width;
+                cursor++;
+                if (!signatures.insert({signature, width}).second) {
+                    prior.duplicatesAfter++;
                     continue;
                 }
-                out.code = s.code;
-                out.index = std::size_t(stats.yielded);
-                out.signature = std::move(s.signature);
-                out.transform = std::move(s.transform);
-                out.transform.setName("enumerated-" +
-                                      std::to_string(out.index));
-                out.annotation = std::move(s.annotation);
-                stats.yielded++;
-                lastExamined = priorExamined + s.examinedAfter;
-                lastDecoded = priorDecoded + s.decodedAfter;
-                lastRejected = priorRejected + s.rejectedAfter;
-                lastDuplicates = priorDuplicates + s.duplicatesAfter +
-                                 mergeDuplicates;
-                out.examinedAfter = lastExamined;
-                out.decodedAfter = lastDecoded;
-                out.rejectedAfter = lastRejected;
-                out.duplicatesAfter = lastDuplicates;
+                out = s;
+                out.index = std::size_t(stats.yielded++);
+                accumulate(out, prior);
+                last = out;
                 if (std::uint64_t(stats.yielded) >=
                     std::uint64_t(options.limit))
-                    finalizeAtLastYield();
+                    finalize(last);
                 return true;
             }
             if (haveCurrent) {
-                priorExamined += current.hi - current.lo;
-                priorDecoded += current.decoded;
-                priorRejected += current.rejected;
-                priorDuplicates += current.duplicates;
+                accumulate(prior, current.totals);
                 haveCurrent = false;
             }
             if (!fetchNextChunk()) {
-                finalize(priorExamined, priorDecoded, priorRejected,
-                         priorDuplicates + mergeDuplicates);
+                finalize(prior);
                 return false;
             }
         }
@@ -926,57 +834,60 @@ struct TransformStream::Impl : ScanContext
 
     void stop()
     {
-        if (done)
-            return;
-        if (stats.yielded > 0)
-            finalizeAtLastYield();
-        else
-            finalize(0, 0, 0, 0);
+        if (!done)
+            finalize(last);
     }
 };
 
-TransformStream::TransformStream(const func::FunctionalSpec &spec,
-                                 const EnumerateOptions &options,
-                                 AnnotatorFactory annotators)
-    : impl_(std::make_unique<Impl>(spec, options, std::move(annotators)))
+SurvivorStream::SurvivorStream(const func::FunctionalSpec &spec,
+                               const EnumerateOptions &options,
+                               const SurvivorScorer *scorer)
+    : impl_(std::make_unique<Impl>(spec, options, scorer))
 {
 }
 
-TransformStream::~TransformStream() = default;
-TransformStream::TransformStream(TransformStream &&) noexcept = default;
-TransformStream &
-TransformStream::operator=(TransformStream &&) noexcept = default;
+SurvivorStream::~SurvivorStream() = default;
 
 bool
-TransformStream::next(EnumeratedTransform &out)
+SurvivorStream::next(Survivor &out)
 {
     return impl_->next(out);
 }
 
 void
-TransformStream::stop()
+SurvivorStream::stop()
 {
     impl_->stop();
 }
 
 const EnumerateStats &
-TransformStream::stats() const
+SurvivorStream::stats() const
 {
     return impl_->stats;
 }
 
 std::pair<std::int64_t, std::int64_t>
-TransformStream::range() const
+SurvivorStream::range() const
 {
-    return {impl_->rangeLo, impl_->rangeHi};
+    return {impl_->whole.lo, impl_->whole.hi};
+}
+
+bool
+SurvivorStream::next(EnumeratedTransform &out)
+{
+    if (!impl_->next(out))
+        return false;
+    out.transform = impl_->transform(out.code, out.index);
+    out.signature = impl_->scanner.signature;
+    return true;
 }
 
 void
 forEachTransform(const func::FunctionalSpec &spec,
                  const EnumerateOptions &options, const TransformSink &sink,
-                 EnumerateStats *stats, AnnotatorFactory annotators)
+                 EnumerateStats *stats)
 {
-    TransformStream stream(spec, options, std::move(annotators));
+    TransformStream stream(spec, options);
     EnumeratedTransform item;
     while (stream.next(item)) {
         if (!sink(item)) {
@@ -1034,22 +945,87 @@ CandidateDecoder::shardRange(std::int64_t index, std::int64_t count)
     return impl_->shardRange(index, count);
 }
 
+std::optional<std::pair<std::int64_t, std::int64_t>>
+CandidateDecoder::chunk(std::size_t i)
+{
+    auto out = chunkOf(impl_->feasibleIndex(), impl_->scope(), i);
+    if (!out)
+        return std::nullopt;
+    return std::pair(out->lo, out->hi);
+}
+
 bool
 CandidateDecoder::decode(std::int64_t code)
 {
     return impl_->scanner.decode(code);
 }
 
-IntMatrix
-CandidateDecoder::matrix() const
+SpaceTimeTransform
+CandidateDecoder::transform(std::int64_t code, std::size_t index)
 {
-    return impl_->scanner.materialize();
+    return impl_->transform(code, index);
+}
+
+std::span<const std::int64_t>
+CandidateDecoder::cells() const
+{
+    return impl_->scanner.cellSpan();
 }
 
 const std::vector<std::int64_t> &
 CandidateDecoder::signature() const
 {
     return impl_->scanner.signature;
+}
+
+std::size_t
+SignatureSet::slotOf(const std::int64_t *signature) const
+{
+    std::uint64_t h = 0xcbf29ce484222325ull ^ width_;
+    for (std::size_t i = 0; i < width_; i++) {
+        h ^= std::uint64_t(signature[i]);
+        h *= 0x9e3779b97f4a7c15ull;
+        h ^= h >> 32;
+    }
+    return std::size_t(h) & (slots_.size() - 1);
+}
+
+std::pair<std::size_t, bool>
+SignatureSet::insert(std::span<const std::int64_t> signature)
+{
+    if (size_ == 0)
+        width_ = signature.size();
+    if (2 * (size_ + 1) > slots_.size()) {
+        // Keep the table at most half full: rehash the stored entries.
+        slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
+        for (std::size_t e = 0; e < size_; e++) {
+            std::size_t s = slotOf(values_.data() + e * width_);
+            while (slots_[s] != 0)
+                s = (s + 1) & (slots_.size() - 1);
+            slots_[s] = std::uint32_t(e + 1);
+        }
+    }
+    for (std::size_t s = slotOf(signature.data());;
+         s = (s + 1) & (slots_.size() - 1)) {
+        if (slots_[s] == 0) {
+            values_.insert(values_.end(), signature.begin(),
+                           signature.end());
+            slots_[s] = std::uint32_t(++size_);
+            return {size_ - 1, true};
+        }
+        const std::int64_t *entry =
+                values_.data() + (slots_[s] - 1) * width_;
+        if (std::equal(signature.begin(), signature.end(), entry))
+            return {slots_[s] - 1, false};
+    }
+}
+
+void
+SignatureSet::clear()
+{
+    std::fill(slots_.begin(), slots_.end(), 0);
+    values_.clear();
+    size_ = 0;
 }
 
 } // namespace detail

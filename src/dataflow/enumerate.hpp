@@ -11,28 +11,28 @@
  * transforms that move every operand identically generate the same
  * array up to relabeling).
  *
- * The enumerator is a *stream*: `TransformStream` / `forEachTransform`
- * yield `(code, matrix, signature)` survivors in code order without
- * materializing the whole transform vector, so a DSE tier can score
- * candidates as the scan produces them with O(K) live state. Most
- * coefficient codes are sign/permutation-orbit duplicates of a smaller
- * code, and most of the rest fail causality (a test on the time row
- * alone) or the hop limit (a per-recurrence budget over the spatial
- * rows). The scan decides all three from coefficient structure, without
- * decoding, and jumps straight to the next code that passes them; the
- * skipped codes are counted in closed form. A per-worker annotator
- * (e.g. a cost model) can process each survivor on the worker that
- * found it. See docs/PARALLEL_DSE.md for the byte-identity contract and
- * the orbit and jump arguments.
+ * `SurvivorStream` yields survivors as plain values (code, yield index,
+ * scan accounting, score verdict) in code order, so a DSE tier holds
+ * O(K) live state and builds transforms only for the codes it keeps;
+ * `forEachTransform` reads the stream as named transforms. Most codes
+ * are sign/permutation-orbit duplicates of a smaller code or fail
+ * causality (a test on the time row alone) or the hop limit (a budget
+ * over the spatial rows). The rest, the feasible codes, are indexed in
+ * closed form (causal time rows x sorted spatial tuples), so the scan
+ * walks exactly them in chunks of equal feasible counts and counts the
+ * others in closed form. A SurvivorScorer scores each survivor from its
+ * cells on the worker that found it. docs/PARALLEL_DSE.md has the
+ * byte-identity contract, the orbit argument and the chunk schedule.
  */
 
 #ifndef STELLAR_DATAFLOW_ENUMERATE_HPP
 #define STELLAR_DATAFLOW_ENUMERATE_HPP
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -64,8 +64,8 @@ struct EnumerateOptions
      * schedule (independent of the thread count) and merges chunks in
      * code order, so the stream — matrices, dedup decisions, names, and
      * stats — is byte-identical to the serial scan at every thread
-     * count, including `limit` early exit. (Small scans run serially
-     * regardless.)
+     * count, including `limit` early exit. (Scans of one chunk run
+     * serially regardless.)
      */
     std::size_t threads = 0;
 
@@ -121,86 +121,83 @@ struct EnumerateStats
     std::int64_t yielded = 0;       //!< survivors produced
 };
 
-/**
- * Hash of a dedup signature (EnumeratedTransform::signature), shared by
- * every hashed signature container: the scan's chunk-local and merge
- * sets and the shard-records merge. None of them is iterated, so the
- * hash order never reaches an output.
- */
-struct SignatureHash
+/** What a SurvivorScorer decided about one survivor. */
+struct Verdict
 {
-    std::size_t operator()(
-            const std::vector<std::int64_t> &signature) const noexcept
-    {
-        std::uint64_t h = 0xcbf29ce484222325ull ^ signature.size();
-        for (std::int64_t v : signature) {
-            h ^= std::uint64_t(v);
-            h *= 0x9e3779b97f4a7c15ull;
-            h ^= h >> 32;
-        }
-        return std::size_t(h);
-    }
+    bool pruned = false;    //!< dropped by the scorer's filter; not scored
+    bool saturated = false; //!< the score was clamped (ranks last)
+    double score = 0.0;
 };
 
-/** One survivor of the coefficient-code scan. */
-struct EnumeratedTransform
+/**
+ * Per-survivor work on the scan worker that found it, before the
+ * in-order merge; a pure function of the cells, since it also runs for
+ * survivors the merge drops. Each worker scores with its own clone,
+ * made on that worker, so `clone` must be safe to call concurrently.
+ */
+class SurvivorScorer
+{
+  public:
+    virtual ~SurvivorScorer() = default;
+    virtual std::unique_ptr<SurvivorScorer> clone() const = 0;
+
+    /** Score the survivor whose row-major n x n matrix is `cells`. */
+    virtual Verdict score(std::span<const std::int64_t> cells) = 0;
+
+  protected:
+    SurvivorScorer() = default;
+    SurvivorScorer(const SurvivorScorer &) = default; //!< for clone()
+    SurvivorScorer &operator=(const SurvivorScorer &) = delete;
+};
+
+/** One survivor of the coefficient-code scan, as a plain value. */
+struct Survivor
 {
     std::int64_t code = 0;  //!< the coefficient code it decodes from
     std::size_t index = 0;  //!< 0-based yield order (the "enumerated-N" N)
-    SpaceTimeTransform transform;
-    std::vector<std::int64_t> signature;
 
     /**
      * Serial-equivalent scan accounting through this survivor's code
-     * (range-relative when sharded). A consumer that stops at this
-     * yield — or a merge tool folding shard record files — can
-     * reconstruct exactly the stats the serial scan would report here;
-     * the two skip counts through the code follow from
-     * CandidateDecoder::canonicalBelow. Invariant: examinedAfter ==
-     * decodedAfter + orbit- and feasibility-skipped codes and
-     * decodedAfter == rejectedAfter + duplicatesAfter + yields.
+     * (range-relative when sharded), from which a consumer stopping here
+     * — or a merge folding shard files — rebuilds the serial stats; the
+     * skip counts follow from CandidateDecoder::canonicalBelow.
      */
     std::int64_t examinedAfter = 0;
     std::int64_t decodedAfter = 0;
     std::int64_t rejectedAfter = 0;
     std::int64_t duplicatesAfter = 0;
 
-    /** What the stream's annotator returned for this survivor (empty
-     *  without an annotator). */
-    std::any annotation;
+    /** The stream's scorer's verdict (default without a scorer). */
+    Verdict verdict;
+};
+
+/** A survivor with its transform "enumerated-<index>" and signature. */
+struct EnumeratedTransform : Survivor
+{
+    SpaceTimeTransform transform;
+    std::vector<std::int64_t> signature;
 };
 
 /**
- * Per-survivor work run on the scan worker that found the survivor,
- * before the in-order merge: the returned value rides along in
- * EnumeratedTransform::annotation. It must be a pure function of the
- * transform: it also runs for chunk-local survivors the merge later
- * drops as duplicates or past `limit`. One annotator serves one worker
- * at a time, so it may keep state that is not thread-safe.
+ * Pull-style streaming enumerator over plain survivors. `next` yields
+ * them in code order, byte-identical to the serial scan at any
+ * `threads`. `stats()` is valid once `next` has returned false
+ * (exhaustion or `limit`) or after `stop()`.
  */
-using Annotator = std::function<std::any(const SpaceTimeTransform &)>;
-
-/** Builds one Annotator per scan worker; called on the worker threads,
- *  so it must be safe to call concurrently. */
-using AnnotatorFactory = std::function<Annotator()>;
-
-/**
- * Pull-style streaming enumerator. `next` yields survivors in code
- * order, byte-identical to the serial scan at any `threads`, without
- * materializing the transform vector. `stats()` is valid once `next`
- * has returned false (exhaustion or `limit`) or after `stop()`.
- */
-class TransformStream
+class SurvivorStream
 {
   public:
-    TransformStream(const func::FunctionalSpec &spec,
-                    const EnumerateOptions &options,
-                    AnnotatorFactory annotators = {});
-    ~TransformStream();
-    TransformStream(TransformStream &&) noexcept;
-    TransformStream &operator=(TransformStream &&) noexcept;
+    /** `scorer`, when given, is cloned per worker and must outlive the
+     *  stream. */
+    SurvivorStream(const func::FunctionalSpec &spec,
+                   const EnumerateOptions &options,
+                   const SurvivorScorer *scorer = nullptr);
+    ~SurvivorStream();
 
     /** Produce the next survivor; false when done (stats finalized). */
+    bool next(Survivor &out);
+
+    /** The same, with its transform and signature (consumer-side). */
     bool next(EnumeratedTransform &out);
 
     /** Abandon the scan, finalizing stats at the last yielded code. */
@@ -217,28 +214,13 @@ class TransformStream
     std::unique_ptr<Impl> impl_;
 };
 
-/** Return false from the sink to stop the scan early. */
-using TransformSink = std::function<bool(const EnumeratedTransform &)>;
-
-/**
- * Push-style wrapper over TransformStream: invoke `sink` for each
- * survivor in code order. When `stats` is non-null it receives the
- * scan accounting (serial semantics at any thread count).
- */
-void forEachTransform(const func::FunctionalSpec &spec,
-                      const EnumerateOptions &options,
-                      const TransformSink &sink,
-                      EnumerateStats *stats = nullptr,
-                      AnnotatorFactory annotators = {});
-
 namespace detail
 {
 
 /**
- * The one decode entry point outside the scan (the shard-records merge,
- * and the orbit-completeness checks of the tests and the fuzz harness):
- * built once per (spec, options), then each `decode` runs the scan's
- * own per-candidate filters on one code.
+ * The one decode path outside the scan (kept codes of the DSE and the
+ * shard-records merge, and the tests' and fuzz harness's checks): built
+ * once per (spec, options); `decode` runs the scan's filters on a code.
  */
 class CandidateDecoder
 {
@@ -270,11 +252,18 @@ class CandidateDecoder
     std::pair<std::int64_t, std::int64_t> shardRange(std::int64_t index,
                                                      std::int64_t count);
 
+    /** The codes [lo, hi) of the scan's chunk `i`, or none past it. */
+    std::optional<std::pair<std::int64_t, std::int64_t>>
+    chunk(std::size_t i);
+
     /** Decode `code` and run the filters; true when it survives. */
     bool decode(std::int64_t code);
 
-    /** The last surviving decode's matrix and dedup signature. */
-    IntMatrix matrix() const;
+    /** The transform "enumerated-<index>" of a surviving code. */
+    SpaceTimeTransform transform(std::int64_t code, std::size_t index);
+
+    /** The last decode's row-major cells and dedup signature. */
+    std::span<const std::int64_t> cells() const;
     const std::vector<std::int64_t> &signature() const;
 
   private:
@@ -282,7 +271,50 @@ class CandidateDecoder
     std::unique_ptr<Impl> impl_;
 };
 
+/**
+ * Signature dedup set: equal-length signatures stored back to back in
+ * insertion order, found through an open-addressing table, so no
+ * signature allocates alone. Hash order never reaches an output.
+ */
+class SignatureSet
+{
+  public:
+    /** `signature`'s entry number, and whether this call added it. */
+    std::pair<std::size_t, bool>
+    insert(std::span<const std::int64_t> signature);
+
+    /** Forget every entry, keeping the storage. */
+    void clear();
+
+    /** The entries, back to back in insertion order. */
+    const std::vector<std::int64_t> &values() const { return values_; }
+
+  private:
+    std::size_t slotOf(const std::int64_t *signature) const;
+
+    std::size_t width_ = 0;
+    std::size_t size_ = 0;
+    std::vector<std::int64_t> values_;
+    std::vector<std::uint32_t> slots_; //!< entry number + 1; 0 = empty
+};
+
 } // namespace detail
+
+/** The stream read as transforms (SurvivorStream::next's overload). */
+using TransformStream = SurvivorStream;
+
+/** Return false from the sink to stop the scan early. */
+using TransformSink = std::function<bool(const EnumeratedTransform &)>;
+
+/**
+ * Push-style wrapper over TransformStream: invoke `sink` for each
+ * survivor in code order. When `stats` is non-null it receives the
+ * scan accounting (serial semantics at any thread count).
+ */
+void forEachTransform(const func::FunctionalSpec &spec,
+                      const EnumerateOptions &options,
+                      const TransformSink &sink,
+                      EnumerateStats *stats = nullptr);
 
 } // namespace stellar::dataflow
 

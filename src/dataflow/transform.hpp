@@ -43,7 +43,6 @@ class SpaceTimeTransform
 
     const IntMatrix &matrix() const { return matrix_; }
     const std::string &name() const { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
 
     int dims() const { return matrix_.rows(); }
     int spaceDims() const { return matrix_.rows() - 1; }

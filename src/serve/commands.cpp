@@ -139,6 +139,7 @@ dseOptionsFor(const DseRequest &request, accel::DesignPointMemo *memo)
 {
     accel::DseOptions options;
     options.threads = request.threads;
+    options.enumerate.threads = request.threads;
     options.topK = request.topK;
     options.maxPes = request.maxPes;
     options.analyticTopK = request.analyticTopK;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,9 @@ class IntMatrix
 
     std::int64_t &at(int r, int c);
     std::int64_t at(int r, int c) const;
+
+    /** The entries, row-major. */
+    std::span<const std::int64_t> cells() const { return data_; }
 
     IntVec row(int r) const;
     IntVec col(int c) const;

@@ -345,8 +345,9 @@ TEST(AnalyticTier, PhaseTimersSplitTheFrontHalfHonestly)
 }
 
 // The front half's cost model walks the iteration space once, charged to
-// the caller's watchdog; the scan workers score with copies that walk
-// nothing, so a step budget sees the same charge at any thread count.
+// the watchdog of the thread that builds the scorer; the scan workers
+// score with clones that walk nothing, so a step budget sees the same
+// charge at any thread count.
 TEST(AnalyticTier, FrontHalfChargesTheCallersWatchdogAtAnyThreadCount)
 {
     model::AreaParams area_params;
@@ -363,17 +364,15 @@ TEST(AnalyticTier, FrontHalfChargesTheCallersWatchdogAtAnyThreadCount)
         options.enumerate.threads = threads;
         util::WatchdogScope scope("front", std::int64_t(1) << 40);
         std::atomic<std::int64_t> score_nanos{0};
+        accel::FrontHalfScorer scorer(func::matmulSpec(), bounds, options,
+                                      area_params, timing_params,
+                                      score_nanos);
+        dataflow::SurvivorStream stream(func::matmulSpec(),
+                                        options.enumerate, &scorer);
+        dataflow::Survivor survivor;
         std::size_t scored = 0;
-        dataflow::forEachTransform(
-                func::matmulSpec(), options.enumerate,
-                [&](const dataflow::EnumeratedTransform &item) {
-                    scored += item.annotation.has_value();
-                    return true;
-                },
-                nullptr,
-                accel::frontHalfAnnotators(func::matmulSpec(), bounds,
-                                           options, area_params,
-                                           timing_params, score_nanos));
+        while (stream.next(survivor))
+            scored += survivor.verdict.score > 0.0;
         EXPECT_GT(scored, 0u);
         const std::int64_t steps = scope.watchdog().stepsExecuted();
         EXPECT_GE(steps, 4 * 4 * 4);

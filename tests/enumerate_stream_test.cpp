@@ -16,12 +16,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <set>
 #include <vector>
 
+#include "accel/analytic.hpp"
 #include "accel/dse.hpp"
 #include "dataflow/enumerate.hpp"
 #include "func/library.hpp"
@@ -426,10 +428,10 @@ TEST(EnumerateStream, CanonicalBelowMatchesABruteForceCount)
 
 // A 1-iterator spec has one code per time row, so a coefficient range
 // of ~1.9e9 values of which only c = 0 is causal is one long acausal
-// run. The balanced split gives the whole run to shard 0 (~7,250 chunks)
-// and the one feasible code to the last shard; every shard between is
-// empty. Each chunk of the run must stop its causality walk at its own
-// last row (a walk to the run's end in every chunk would take hours).
+// run. The balanced split gives the whole run to shard 0 and the one
+// feasible code to the last shard; every shard between is empty. The
+// scan walks only the feasible index, so shard 0 is one chunk without a
+// code to decode (a walk over the run code by code would take hours).
 // Shard 0 is too long for the decode-everything walk, so it is held to
 // the counts every code of it has by construction (a negative
 // coefficient fails the merge recurrence's +1 step), and the oracle
@@ -724,41 +726,227 @@ TEST(EnumerateStream, StandardHop3SweepDecodesOnlyFeasibleCodes)
     EXPECT_EQ(stats.yielded, 25416);
 }
 
-// Annotators run on the scan workers, at most one per worker, and each
-// yielded survivor carries the annotation of its own transform.
-TEST(EnumerateStream, AnnotationsRideWithTheirSurvivors)
+// The scan workers score each survivor from its decoded cells. Their
+// verdicts must be bit-identical to the prune and score of the
+// materialized transform of the same code, for every yield of a hop-3,
+// coefficient-[-2,2] sweep at 1 and 4 threads: maxPes-pruned yields
+// (never scored), saturated ones (a data width so wide that deep time
+// deltas overflow the pipeline-bit sum) and plain ones alike.
+TEST(EnumerateStream, WorkerVerdictsMatchTheMaterializedScore)
 {
-    auto spec = func::matmulSpec();
+    const auto spec = func::matmulSpec();
+    const IntVec bounds = {4, 4, 4};
+    model::AreaParams area_params;
+    model::TimingParams timing_params;
+    accel::DseOptions options;
+    options.analyticTopK = 8;
+    options.maxPes = 16;
+    options.dataWidth = 1 << 29;
+    options.enumerate.minCoeff = -2;
+    options.enumerate.maxCoeff = 2;
+    options.enumerate.maxHopLength = 3;
+    options.enumerate.limit = std::size_t(1) << 40;
+    accel::AnalyticCostModel model(spec, bounds, options.sparsity,
+                                   options.dataWidth, options.macBits,
+                                   area_params, timing_params);
+    dataflow::detail::CandidateDecoder decoder(spec, options.enumerate);
     for (std::size_t threads : {1u, 4u}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
-        dataflow::EnumerateOptions options;
-        options.minCoeff = -2;
-        options.maxCoeff = 2;
-        options.maxHopLength = 3;
-        options.threads = threads;
-        std::atomic<std::size_t> built{0};
-        auto trace = [](const dataflow::SpaceTimeTransform &transform) {
-            return transform.matrix().toString();
-        };
-        dataflow::TransformStream stream(spec, options, [&] {
-            built++;
-            return dataflow::Annotator(
-                    [&](const dataflow::SpaceTimeTransform &transform) {
-                        return std::any(trace(transform));
-                    });
-        });
-        dataflow::EnumeratedTransform item;
-        std::size_t count = 0;
-        while (stream.next(item)) {
-            const auto *annotation =
-                    std::any_cast<std::string>(&item.annotation);
-            ASSERT_NE(annotation, nullptr);
-            EXPECT_EQ(*annotation, trace(item.transform));
-            count++;
+        options.enumerate.threads = threads;
+        std::atomic<std::int64_t> score_nanos{0};
+        accel::FrontHalfScorer scorer(spec, bounds, options, area_params,
+                                      timing_params, score_nanos);
+        dataflow::SurvivorStream stream(spec, options.enumerate, &scorer);
+        dataflow::Survivor survivor;
+        std::size_t pruned = 0, saturated = 0, plain = 0;
+        while (stream.next(survivor)) {
+            SCOPED_TRACE("code " + std::to_string(survivor.code));
+            const auto transform =
+                    decoder.transform(survivor.code, survivor.index);
+            const dataflow::Verdict &verdict = survivor.verdict;
+            ASSERT_EQ(verdict.pruned, accel::analyticPeCount(transform,
+                                                             bounds) >
+                                              options.maxPes);
+            if (verdict.pruned) {
+                EXPECT_FALSE(verdict.saturated);
+                EXPECT_EQ(verdict.score, 0.0);
+                pruned++;
+                continue;
+            }
+            const auto want = model.score(transform);
+            ASSERT_EQ(verdict.saturated, want.saturated);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(verdict.score),
+                      std::bit_cast<std::uint64_t>(want.score));
+            (want.saturated ? saturated : plain)++;
         }
-        EXPECT_GT(count, 0u);
-        EXPECT_GE(built.load(), 1u);
-        EXPECT_LE(built.load(), threads);
+        EXPECT_GT(pruned, 0u);
+        EXPECT_GT(saturated, 0u);
+        EXPECT_GT(plain, 0u);
+        EXPECT_GT(score_nanos.load(), 0);
+    }
+}
+
+/** One yield of the chunk-schedule oracle, with the serial stats
+ *  through its code. */
+struct OracleYield
+{
+    std::int64_t code = 0;
+    IntMatrix matrix;
+    std::vector<std::int64_t> signature;
+    dataflow::EnumerateStats through;
+};
+
+/**
+ * The stream's serial semantics written out plainly: walk every code of
+ * [lo, hi) in order, skip non-canonical codes and codes that fail
+ * causality or the hop limit by definition (codeFacts), decode the
+ * rest, dedup by signature, and snapshot the counters at each yield;
+ * `stats` receives the counters of the whole range. No index, chunk or
+ * thread is involved.
+ */
+std::vector<OracleYield>
+scheduleOracle(const func::FunctionalSpec &spec,
+               const dataflow::EnumerateOptions &options, std::int64_t lo,
+               std::int64_t hi, dataflow::EnumerateStats &stats)
+{
+    dataflow::detail::CandidateDecoder decoder(spec, options);
+    const auto recurrences = spec.recurrences();
+    std::set<std::vector<std::int64_t>> seen;
+    std::vector<OracleYield> out;
+    stats = {};
+    stats.codesTotal = decoder.codesTotal();
+    for (std::int64_t code = lo; code < hi; code++) {
+        stats.codesExamined++;
+        if (!orbitMinimal(spec, options, code)) {
+            stats.orbitSkipped++;
+            continue;
+        }
+        const CodeFacts facts = codeFacts(recurrences, spec.numIndices(),
+                                          options, code);
+        if (facts.minStep < 0 ||
+            (facts.minStep == 0 && !options.allowBroadcast) ||
+            facts.maxHops > options.maxHopLength) {
+            stats.feasibilitySkipped++;
+            continue;
+        }
+        stats.decoded++;
+        if (!decoder.decode(code)) {
+            stats.rejected++;
+            continue;
+        }
+        if (!seen.insert(decoder.signature()).second) {
+            stats.duplicates++;
+            continue;
+        }
+        stats.yielded++;
+        out.push_back({code, decoder.transform(code, out.size()).matrix(),
+                       decoder.signature(), stats});
+    }
+    return out;
+}
+
+// The fixed chunk schedule: chunk i of a scan holds 256 * 2^i feasible
+// codes, capped at 2048 (the last chunk the remainder), its chunks tile
+// the scanned range, and the stream — matrices, names, signatures,
+// `*After` snapshots and stats — is byte-identical to a plain serial
+// walk at 1, 2, 3, 4 and 8 threads, unsharded and sharded, with `limit`
+// one short of, at, and one past a chunk edge's yield count, and
+// unlimited.
+TEST(EnumerateStream, ChunkScheduleTilesTheRangeAtFixedFeasibleCounts)
+{
+    const auto spec = func::matmulSpec();
+    dataflow::EnumerateOptions base;
+    base.minCoeff = -2;
+    base.maxCoeff = 2;
+    base.maxHopLength = 3;
+    base.limit = std::size_t(1) << 40;
+    for (std::int64_t shards : {0, 3}) {
+        for (std::int64_t index = 0; index < std::max<std::int64_t>(1, shards);
+             index++) {
+            SCOPED_TRACE("shard " + std::to_string(index) + "/" +
+                         std::to_string(shards));
+            auto options = base;
+            options.shardIndex = index;
+            options.shardCount = shards;
+            dataflow::detail::CandidateDecoder decoder(spec, options);
+            const auto [lo, hi] = shards == 0
+                                          ? std::pair<std::int64_t,
+                                                      std::int64_t>(
+                                                    0, decoder.codesTotal())
+                                          : decoder.shardRange(index, shards);
+
+            std::int64_t edge = lo;
+            std::int64_t size = 256;
+            std::size_t chunks = 0;
+            while (auto chunk = decoder.chunk(chunks)) {
+                EXPECT_EQ(chunk->first, edge) << "chunk " << chunks;
+                const std::int64_t feasible =
+                        decoder.feasibleBelow(chunk->second) -
+                        decoder.feasibleBelow(chunk->first);
+                if (chunk->second == hi)
+                    EXPECT_LE(feasible, size) << "last chunk " << chunks;
+                else
+                    EXPECT_EQ(feasible, size) << "chunk " << chunks;
+                edge = chunk->second;
+                size = std::min<std::int64_t>(size * 2, 2048);
+                chunks++;
+            }
+            EXPECT_EQ(edge, hi);
+            EXPECT_GE(chunks, 5u); // the schedule reaches its cap
+
+            // The limits end at the last yield of the first chunk that
+            // yields at least two (a scan's first chunks may hold only
+            // singular codes), one before it, and one into the next.
+            dataflow::EnumerateStats all_stats;
+            const auto all = scheduleOracle(spec, options, lo, hi,
+                                            all_stats);
+            std::size_t edge_yields = 0;
+            for (std::size_t i = 0; edge_yields < 2 && decoder.chunk(i);
+                 i++) {
+                const std::int64_t end = decoder.chunk(i)->second;
+                edge_yields = std::size_t(std::count_if(
+                        all.begin(), all.end(),
+                        [&](const OracleYield &y) { return y.code < end; }));
+            }
+            ASSERT_GE(edge_yields, 2u);
+            ASSERT_LT(edge_yields, all.size());
+            for (std::size_t limit : {edge_yields - 1, edge_yields,
+                                      edge_yields + 1, base.limit}) {
+                const std::size_t kept = std::min(limit, all.size());
+                const auto &want_stats =
+                        kept < all.size() ? all[kept - 1].through
+                                          : all_stats;
+                for (std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+                    SCOPED_TRACE("limit " + std::to_string(limit) +
+                                 " threads " + std::to_string(threads));
+                    options.limit = limit;
+                    options.threads = threads;
+                    dataflow::TransformStream stream(spec, options);
+                    dataflow::EnumeratedTransform item;
+                    std::size_t count = 0;
+                    while (stream.next(item)) {
+                        ASSERT_LT(count, kept);
+                        const OracleYield &want = all[count];
+                        EXPECT_EQ(item.code, want.code);
+                        EXPECT_EQ(item.index, count);
+                        EXPECT_EQ(item.transform.name(),
+                                  "enumerated-" + std::to_string(count));
+                        EXPECT_EQ(item.transform.matrix(), want.matrix);
+                        EXPECT_EQ(item.signature, want.signature);
+                        EXPECT_EQ(item.examinedAfter,
+                                  want.through.codesExamined);
+                        EXPECT_EQ(item.decodedAfter, want.through.decoded);
+                        EXPECT_EQ(item.rejectedAfter,
+                                  want.through.rejected);
+                        EXPECT_EQ(item.duplicatesAfter,
+                                  want.through.duplicates);
+                        count++;
+                    }
+                    EXPECT_EQ(count, kept);
+                    expectSameStats(stream.stats(), want_stats);
+                }
+            }
+        }
     }
 }
 
@@ -784,7 +972,8 @@ TEST(EnumerateStream, PullStreamYieldsConsistentItems)
         EXPECT_EQ(item.transform.name(),
                   "enumerated-" + std::to_string(count));
         ASSERT_TRUE(decoder.decode(item.code));
-        EXPECT_EQ(decoder.matrix(), item.transform.matrix());
+        EXPECT_TRUE(std::ranges::equal(decoder.cells(),
+                                       item.transform.matrix().cells()));
         EXPECT_EQ(decoder.signature(), item.signature);
         EXPECT_TRUE(decoder.canonical(item.code));
         count++;

@@ -573,10 +573,11 @@ TEST(Records, MovedCodeWithoutItsScanSnapshotIsRejected)
 TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
 {
     // A record carries no matrix: the merge re-derives it from the
-    // code. Rewriting a code (and the examined_after that pins it) under
-    // a fresh checksum parses cleanly, so the merge's re-decode is what
-    // has to refuse a code that is not an orbit-canonical survivor, or
-    // that repeats a signature its own shard already yielded.
+    // code. Rewriting a code (and the examined_after and decoded_after
+    // that pin it) under a fresh checksum parses cleanly, so the merge's
+    // re-decode is what has to refuse a code that is not an
+    // orbit-canonical survivor, or that repeats a signature its own
+    // shard already yielded.
     // Seven shards cut the space inside time-row blocks, so some
     // signatures are yielded by two shards.
     auto shards = scanAll(smallConfig(), 7);
@@ -595,6 +596,10 @@ TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
                         continue;
                     record.code = code;
                     record.examinedAfter = code - shard.range.lo + 1;
+                    // (The parse requires at least one decoded code.)
+                    record.decodedAfter = std::max<std::int64_t>(
+                            1, decoder.feasibleBelow(code + 1) -
+                                       decoder.feasibleBelow(shard.range.lo));
                     shard = accel::parseShardRecords(
                             accel::serializeShardRecords(shard));
                     return forged;
@@ -640,6 +645,25 @@ TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
                                           decoder.signature()) != 0;
                        }),
                        "repeated cross-shard signature", "repeats a signature");
+}
+
+TEST(Records, ForgedDecodedAfterIsRejectedEvenWithAFreshChecksum)
+{
+    // A record's decoded_after is a function of its code: the feasible
+    // codes of its shard up to and including it. One off either way,
+    // under a fresh checksum and with every parse-time invariant kept,
+    // only the merge's closed-form count can refuse it.
+    const auto shards = scanAll(smallConfig(), 2);
+    ASSERT_GE(shards[1].records.size(), 2u);
+    for (std::int64_t delta : {-1, 1}) {
+        SCOPED_TRACE("delta " + std::to_string(delta));
+        auto forged = shards;
+        forged[1].records.back().decodedAfter += delta;
+        forged[1] = accel::parseShardRecords(
+                accel::serializeShardRecords(forged[1]));
+        expectMergeRefused(std::move(forged), "forged decoded_after",
+                           "claims decoded_after");
+    }
 }
 
 TEST(Records, MergeRejectsIncompleteDuplicateAndMixedConfigSets)

@@ -60,6 +60,20 @@ TEST(ServeProtocol, DseDefaultsMatchTheServedContract)
     EXPECT_FALSE(request.dse.failFast);
 }
 
+// `threads` bounds the whole DSE, the coefficient scan included: a
+// served request's thread cap and `stellar_cli dse --threads` reach the
+// scan workers, not only the evaluation pool.
+TEST(ServeProtocol, DseThreadsReachTheScan)
+{
+    for (std::size_t threads : {0u, 1u, 4u}) {
+        serve::DseRequest request;
+        request.threads = threads;
+        const auto options = serve::dseOptionsFor(request, nullptr);
+        EXPECT_EQ(options.threads, threads);
+        EXPECT_EQ(options.enumerate.threads, request.threads);
+    }
+}
+
 TEST(ServeProtocol, ParsesAnalyticTierAndEnumerationFields)
 {
     Request request = serve::parseRequest(
