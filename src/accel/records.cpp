@@ -7,17 +7,24 @@
 #include <cmath>
 #include <concepts>
 #include <cstdio>
+#include <deque>
+#include <exception>
 #include <fstream>
+#include <future>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string_view>
+#include <thread>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 
 #include "accel/analytic.hpp"
-#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/memo.hpp"
+#include "util/thread_pool.hpp"
 
 namespace stellar::accel
 {
@@ -63,13 +70,20 @@ enumerateOptionsFor(const ShardConfig &config)
 //   {"version":N,"kind":"stellar-dse-shard","checksum":"<16 hex>",
 //    "payload":{"config":C,"range":R,"stats":S,"records":[E,...]}}
 //
-// C, R, S and each record E are flat objects whose keys come in the
-// order the visitFields overloads below list. Those overloads are the
-// one description of each section: the writer and the reader both walk
-// them, so the two cannot drift.
+// C, R and S are flat objects whose keys come in the order the
+// visitFields overloads below list; each record E is a flat array of
+// its fields in that order, with no keys. Those overloads are the one
+// description of each section: the writer and the reader both walk
+// them, so the two cannot drift. Every number is spelled by
+// std::to_chars (a double in its shortest round-trip form, a bool as 0
+// or 1), and the reader re-spells each number it reads the same way.
 
 template <typename T, typename Section>
 concept SectionOf = std::same_as<std::remove_const_t<Section>, T>;
+
+/** Records are arrays, so the ~25k of them in a sweep repeat no keys. */
+template <typename Section>
+constexpr bool kKeyed = !SectionOf<CandidateRecord, Section>;
 
 template <typename Config, typename Visit>
     requires SectionOf<ShardConfig, Config>
@@ -120,41 +134,53 @@ visitFields(Record &record, Visit &&visit)
     visit("code", record.code);
     visit("saturated", record.saturated);
     visit("score", record.score);
-    visit("examined_after", record.examinedAfter);
-    visit("decoded_after", record.decodedAfter);
-    visit("rejected_after", record.rejectedAfter);
     visit("duplicates_after", record.duplicatesAfter);
 }
 
-void
-appendInt(std::string &out, std::int64_t value)
+/** std::to_chars's longest spelling of an int64 or a shortest double
+ *  ("-2.2250738585072014e-308") fits with room to spare. */
+constexpr std::size_t kNumberChars = 32;
+
+/** Spell `value` at `at` as std::to_chars does: an integer in decimal,
+ *  a double in its shortest round-trip form, a bool as 0 or 1. */
+template <typename T>
+char *
+spellNumber(char *at, T value)
 {
-    char buffer[24];
-    char *end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
-    out.append(buffer, end);
+    if constexpr (std::is_same_v<T, bool>) {
+        *at++ = value ? '1' : '0';
+        return at;
+    } else {
+        return std::to_chars(at, at + kNumberChars, value).ptr;
+    }
 }
 
-/** Append one section as a flat object in visitFields order. */
+/**
+ * Append one section in visitFields order: a flat object, or for a
+ * record a flat array. It is spelled into a stack buffer and appended
+ * once, since a sweep writes ~25k records; no section has more than 8
+ * fields of a key under 24 bytes and a number under kNumberChars.
+ */
 template <typename Section>
 void
 writeSection(std::string &out, const Section &section)
 {
-    char open = '{';
+    char buffer[8 * (24 + 4 + kNumberChars)];
+    char *at = buffer;
+    char open = kKeyed<Section> ? '{' : '[';
     visitFields(section, [&](std::string_view key, const auto &value) {
-        out += open;
+        *at++ = open;
         open = ',';
-        out += '"';
-        out += key;
-        out += "\":";
-        using T = std::decay_t<decltype(value)>;
-        if constexpr (std::is_same_v<T, bool>)
-            out += value ? "true" : "false";
-        else if constexpr (std::is_same_v<T, double>)
-            out += util::json::serializeDouble(value);
-        else
-            appendInt(out, value);
+        if constexpr (kKeyed<Section>) {
+            *at++ = '"';
+            at = std::copy(key.begin(), key.end(), at);
+            *at++ = '"';
+            *at++ = ':';
+        }
+        at = spellNumber(at, value);
     });
-    out += '}';
+    *at++ = kKeyed<Section> ? '}' : ']';
+    out.append(buffer, at);
 }
 
 /**
@@ -199,29 +225,45 @@ class Cursor
             fail("expected '" + std::string(literal) + "'");
     }
 
-    /** `{"key":` for a section's first field, `,"key":` for the rest. */
+    /** `{"key":` for a section's first field, `,"key":` for the rest;
+     *  a record's `[` or `,` alone. */
+    template <bool Keyed>
     void
-    key(char open, std::string_view key)
+    field(char open, std::string_view key)
     {
-        if (!consume({&open, 1}) || !consume("\"") || !consume(key) ||
-            !consume("\":"))
+        if (!consume({&open, 1}))
+            fail(std::string("expected '") + open + "' before " +
+                 std::string(key));
+        if (Keyed && !(consume("\"") && consume(key) && consume("\":")))
             fail(std::string("expected '") + open + "\"" +
                  std::string(key) + "\":'");
     }
 
-    /** An integer as std::to_chars spells it: no '+', no leading
-     *  zeros, no "-0"; false (cursor unmoved) otherwise. */
+    /** A number exactly as spellNumber spells it; false (cursor
+     *  unmoved) on any other spelling. An integer may not have a '+',
+     *  leading zeros or "-0"; a double is re-spelled with the writer's
+     *  std::to_chars call and compared, so "1E-01", "0.10" or the
+     *  %.17g "0.10000000000000001" for 0.1 are refused. */
+    template <typename T>
     bool
-    integer(std::int64_t &value)
+    number(T &value)
     {
         const char *first = text_.data() + pos_;
-        const char *last = text_.data() + text_.size();
-        auto [end, error] = std::from_chars(first, last, value);
+        auto [end, error] =
+                std::from_chars(first, text_.data() + text_.size(), value);
         if (error != std::errc())
             return false;
-        const char *digits = first + (*first == '-');
-        if (*digits == '0' && (end - digits > 1 || digits != first))
-            return false;
+        if constexpr (std::is_integral_v<T>) {
+            const char *digits = first + (*first == '-');
+            if (*digits == '0' && (end - digits > 1 || digits != first))
+                return false;
+        } else {
+            char buffer[kNumberChars];
+            char *spelled = spellNumber(buffer, value);
+            if (std::string_view(buffer, std::size_t(spelled - buffer)) !=
+                std::string_view(first, std::size_t(end - first)))
+                return false;
+        }
         pos_ = std::size_t(end - text_.data());
         return true;
     }
@@ -229,30 +271,26 @@ class Cursor
     void
     read(std::int64_t &value)
     {
-        if (!integer(value))
+        if (!number(value))
             fail("expected an integer");
     }
 
     void
     read(double &value)
     {
-        const char *first = text_.data() + pos_;
-        auto [end, error] = std::from_chars(
-                first, text_.data() + text_.size(), value);
-        if (error != std::errc() || !std::isfinite(value))
-            fail("expected a finite number");
-        pos_ = std::size_t(end - text_.data());
+        if (!number(value) || !std::isfinite(value))
+            fail("expected a finite number in shortest round-trip form");
     }
 
     void
     read(bool &value)
     {
-        if (consume("true"))
+        if (consume("1"))
             value = true;
-        else if (consume("false"))
+        else if (consume("0"))
             value = false;
         else
-            fail("expected true or false");
+            fail("expected 0 or 1");
     }
 
     [[noreturn]] void
@@ -272,13 +310,13 @@ template <typename Section>
 void
 readSection(Cursor &in, Section &section)
 {
-    char open = '{';
+    char open = kKeyed<Section> ? '{' : '[';
     visitFields(section, [&](std::string_view key, auto &value) {
-        in.key(open, key);
+        in.field<kKeyed<Section>>(open, key);
         open = ',';
         in.read(value);
     });
-    in.expect("}");
+    in.expect(kKeyed<Section> ? "}" : "]");
 }
 
 void
@@ -342,22 +380,28 @@ checkStats(const dataflow::EnumerateStats &stats, const ShardRange &range)
              "yielded");
 }
 
+/** A record against its predecessor in the shard (null for the first)
+ *  and the shard's own range and stats. */
 void
-checkRecord(const CandidateRecord &record, const ShardRange &range,
-            std::int64_t prev_code)
+checkRecord(const CandidateRecord &record, const CandidateRecord *prev,
+            const ShardRecords &shard)
 {
-    if (record.code < range.lo || record.code >= range.hi)
+    if (record.code < shard.range.lo || record.code >= shard.range.hi)
         fail("record code " + std::to_string(record.code) +
              " outside the shard range");
-    if (record.code <= prev_code)
+    if (prev && record.code <= prev->code)
         fail("record codes must be strictly increasing");
-    // The scan covers its slice code by code, so through a yield it has
-    // examined exactly the codes up to and including that yield's own.
-    if (record.examinedAfter != record.code - range.lo + 1)
-        fail("record examined_after disagrees with its code");
-    if (record.decodedAfter < 1 || record.rejectedAfter < 0 ||
-        record.duplicatesAfter < 0)
-        fail("implausible record scan snapshot");
+    // The scan counts duplicates as it goes: through a yield, at least
+    // as many as through the yield before, and at most the shard's.
+    const std::int64_t least = prev ? prev->duplicatesAfter : 0;
+    if (record.duplicatesAfter < least ||
+        record.duplicatesAfter > shard.stats.duplicates)
+        fail("record code " + std::to_string(record.code) +
+             " claims duplicates_after " +
+             std::to_string(record.duplicatesAfter) + ", outside [" +
+             std::to_string(least) + ", " +
+             std::to_string(shard.stats.duplicates) +
+             "] (the previous record's and the shard's duplicates)");
 }
 
 // The literal spans of the grammar that are not a section's fields.
@@ -385,9 +429,10 @@ std::string
 serializeShardRecords(const ShardRecords &shard)
 {
     std::string out;
-    out.reserve(512 + 176 * shard.records.size());
+    out.reserve(512 + 40 * shard.records.size());
     out += kVersionHead;
-    appendInt(out, kRecordsVersion);
+    char version[kNumberChars];
+    out.append(version, spellNumber(version, kRecordsVersion));
     out += kChecksumHead;
     const std::size_t checksum_at = out.size();
     out.append(kChecksumDigits, '0'); // patched once the payload is out
@@ -418,7 +463,7 @@ parseShardRecords(const std::string &text)
     Cursor head(text, 0);
     auto notShard = [&] { head.fail("not a stellar-dse-shard file"); };
     std::int64_t version = 0;
-    if (!head.consume(kVersionHead) || !head.integer(version))
+    if (!head.consume(kVersionHead) || !head.number(version))
         notShard();
     if (version != kRecordsVersion)
         fail("unsupported version " + std::to_string(version) +
@@ -457,17 +502,17 @@ parseShardRecords(const std::string &text)
     readSection(in, shard.stats);
     checkStats(shard.stats, shard.range);
     in.expect(kRecordsHead);
-    // Every record spells at least ~110 bytes, which bounds the
-    // reservation a forged `yielded` can ask for.
+    // Every record spells at least 9 bytes (`[0,0,0,0]`), which bounds
+    // the reservation a forged `yielded` can ask for.
     shard.records.reserve(std::size_t(std::min<std::int64_t>(
-            shard.stats.yielded, std::int64_t(payload.size() / 64))));
+            shard.stats.yielded, std::int64_t(payload.size() / 9))));
     if (!in.consume("]")) {
-        std::int64_t prev_code = std::numeric_limits<std::int64_t>::min();
         do {
             CandidateRecord &record = shard.records.emplace_back();
             readSection(in, record);
-            checkRecord(record, shard.range, prev_code);
-            prev_code = record.code;
+            const std::size_t n = shard.records.size();
+            checkRecord(record, n > 1 ? &shard.records[n - 2] : nullptr,
+                        shard);
         } while (in.consume(","));
         in.expect("]");
     }
@@ -558,9 +603,6 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
         record.code = item.code;
         record.saturated = item.verdict.saturated;
         record.score = item.verdict.score;
-        record.examinedAfter = item.examinedAfter;
-        record.decodedAfter = item.decodedAfter;
-        record.rejectedAfter = item.rejectedAfter;
         record.duplicatesAfter = item.duplicatesAfter;
     }
     out.stats = stream.stats();
@@ -571,6 +613,214 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
     std::tie(out.range.lo, out.range.hi) = stream.range();
     return out;
 }
+
+namespace
+{
+
+using dataflow::detail::CandidateDecoder;
+
+/**
+ * What the merge derives from a code-ordered run of one shard's
+ * records, off the folding thread: per record, whether its code decodes
+ * to an orbit-canonical survivor and, if so, the feasible codes of its
+ * shard through it (its decoded_after), its signature and the hash the
+ * fold's SignatureSet files it under, and whether the maxPes prune
+ * drops it. A slot's buffers are sized once and reused by every chunk
+ * that lands in it, so the decode writes into no new memory (the PE
+ * count, run only under max_pes, allocates its own scratch). A throw
+ * from the PE count stops the chunk at that record; the fold rethrows
+ * it where the serial walk would have.
+ */
+struct DecodedChunk
+{
+    const ShardRecords *shard = nullptr;
+    std::size_t first = 0; //!< records [first, end) of *shard
+    std::size_t end = 0;
+    std::vector<std::uint8_t> survivor;
+    std::vector<std::uint8_t> pruned;
+    std::vector<std::int64_t> decodedAfter;
+    std::vector<std::int64_t> signatures; //!< back to back, in order
+    std::vector<std::uint64_t> hashes;
+    std::exception_ptr error; //!< what pruning record `failed` threw
+    std::size_t failed = 0;
+
+    DecodedChunk(std::size_t capacity, std::size_t width)
+        : survivor(capacity), pruned(capacity), decodedAfter(capacity),
+          signatures(capacity * width), hashes(capacity)
+    {
+    }
+
+    void
+    decode(CandidateDecoder &decoder, const IntVec &bounds,
+           std::int64_t max_pes)
+    {
+        const std::int64_t feasible_lo =
+                decoder.feasibleBelow(shard->range.lo);
+        const std::size_t width = decoder.signatureWidth();
+        error = nullptr;
+        for (std::size_t i = first; i < end; i++) {
+            const std::size_t k = i - first;
+            const std::int64_t code = shard->records[i].code;
+            survivor[k] = decoder.canonical(code) && decoder.decode(code);
+            if (!survivor[k])
+                continue;
+            // The scan decodes every feasible code of its slice: through
+            // a yield, exactly those up to and including its own code.
+            decodedAfter[k] = decoder.feasibleBelow(code + 1) - feasible_lo;
+            const auto &signature = decoder.signature();
+            std::copy(signature.begin(), signature.end(),
+                      signatures.begin() + std::ptrdiff_t(k * width));
+            hashes[k] = dataflow::detail::SignatureSet::hash(signature);
+            try {
+                pruned[k] = max_pes > 0 &&
+                            analyticPeCount(decoder.cells(), bounds) >
+                                    max_pes;
+            } catch (...) {
+                error = std::current_exception();
+                failed = i;
+                return;
+            }
+        }
+    }
+};
+
+/**
+ * Decodes a shard set's records in code-ordered chunks on a pool of
+ * workers, one CandidateDecoder each, at most two chunks a worker ahead
+ * of the fold, so a limit stop wastes at most that window. Slots and
+ * decoders are allocated up front on the constructing thread; at one
+ * worker there is no pool and `next` decodes inline.
+ */
+class ChunkDecoder
+{
+  public:
+    ChunkDecoder(const std::vector<ShardRecords> &shards,
+                 std::size_t records,
+                 const func::FunctionalSpec &functional,
+                 const dataflow::EnumerateOptions &options,
+                 const IntVec &bounds, std::int64_t max_pes,
+                 std::size_t threads, CandidateDecoder &serial)
+        : bounds_(bounds), maxPes_(max_pes)
+    {
+        if (threads == 0)
+            threads = std::max<std::size_t>(
+                    1, std::thread::hardware_concurrency());
+        // Eight chunks a worker balance the load; chunks never cross a
+        // shard, which starts its own feasible count.
+        const std::size_t size = std::clamp<std::size_t>(
+                records / (8 * threads), 16, 1024);
+        for (const ShardRecords &shard : shards)
+            for (std::size_t at = 0; at < shard.records.size(); at += size)
+                chunks_.push_back({&shard, at,
+                                   std::min(at + size, shard.records.size())});
+        threads = std::min(threads, chunks_.size());
+        const std::size_t width = serial.signatureWidth();
+        // `serial` decodes inline at one worker; at more it is one of the
+        // workers' decoders, since the folding thread decodes nothing.
+        idle_.push_back(&serial);
+        if (threads <= 1) {
+            slots_.emplace_back(size, width);
+            return;
+        }
+        for (std::size_t i = 1; i < threads; i++) {
+            decoders_.push_back(
+                    std::make_unique<CandidateDecoder>(functional, options));
+            decoders_.back()->feasibleBelow(0); // build the index here
+            idle_.push_back(decoders_.back().get());
+        }
+        window_ = 2 * threads;
+        slots_.assign(window_, DecodedChunk(size, width));
+        pool_ = std::make_unique<util::ThreadPool>(threads);
+    }
+
+    // The pool's tasks hold `this` and the slots' addresses.
+    ChunkDecoder(const ChunkDecoder &) = delete;
+    ChunkDecoder &operator=(const ChunkDecoder &) = delete;
+
+    /** The next chunk in code order, decoded; null past the last. */
+    const DecodedChunk *
+    next()
+    {
+        if (taken_ == chunks_.size())
+            return nullptr;
+        if (!pool_) {
+            DecodedChunk &slot = fill(slots_.front(), taken_++);
+            slot.decode(*idle_.front(), bounds_, maxPes_);
+            return &slot;
+        }
+        // Refill the window: the slot of chunk `taken_ + window_ - 1`
+        // held chunk `taken_ - 1`, which the caller has folded.
+        for (; issued_ < chunks_.size() && issued_ < taken_ + window_;
+             issued_++) {
+            DecodedChunk &slot = fill(slots_[issued_ % window_], issued_);
+            inflight_.push_back(pool_->submit([this, &slot] {
+                CandidateDecoder *decoder = borrow();
+                try {
+                    slot.decode(*decoder, bounds_, maxPes_);
+                } catch (...) {
+                    giveBack(decoder); // the future carries the throw
+                    throw;
+                }
+                giveBack(decoder);
+            }));
+        }
+        inflight_.front().get();
+        inflight_.pop_front();
+        return &slots_[taken_++ % window_];
+    }
+
+  private:
+    struct ChunkSpan
+    {
+        const ShardRecords *shard;
+        std::size_t first, end;
+    };
+
+    DecodedChunk &
+    fill(DecodedChunk &slot, std::size_t chunk)
+    {
+        slot.shard = chunks_[chunk].shard;
+        slot.first = chunks_[chunk].first;
+        slot.end = chunks_[chunk].end;
+        return slot;
+    }
+
+    // At most `threads` chunks decode at once, so one of the `threads`
+    // decoders is always idle when a chunk starts.
+    CandidateDecoder *
+    borrow()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        CandidateDecoder *decoder = idle_.back();
+        idle_.pop_back();
+        return decoder;
+    }
+
+    void
+    giveBack(CandidateDecoder *decoder)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        idle_.push_back(decoder);
+    }
+
+    const IntVec &bounds_;
+    std::int64_t maxPes_;
+    std::vector<ChunkSpan> chunks_;
+    std::vector<DecodedChunk> slots_;
+    std::vector<std::unique_ptr<CandidateDecoder>> decoders_;
+    std::mutex mutex_;
+    std::vector<CandidateDecoder *> idle_;
+    std::size_t window_ = 1;
+    std::size_t taken_ = 0;
+    std::size_t issued_ = 0;
+    std::deque<std::future<void>> inflight_;
+    // Declared last: destroyed first, so a fold that stops early (the
+    // limit, or an error) joins the running chunks before their slots
+    // and decoders die, and drops the queued ones.
+    std::unique_ptr<util::ThreadPool> pool_;
+};
+
+} // namespace
 
 std::vector<DseCandidate>
 mergeShardRecords(std::vector<ShardRecords> shards,
@@ -672,6 +922,12 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     // shard is a forged record.
     dataflow::detail::SignatureSet signatures;
     std::vector<std::int64_t> owners;
+    std::size_t records = 0;
+    for (const ShardRecords &shard : shards)
+        records += shard.records.size();
+    const std::size_t width = decoder.signatureWidth();
+    signatures.reserve(records, width);
+    owners.reserve(records);
     // Rejected and duplicate codes through the consumed shards, then
     // through the stop. Every other counter is a closed form of the
     // codes examined, which the checks above and below pin each shard's
@@ -681,26 +937,53 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     std::int64_t rejected = 0;
     std::int64_t duplicates = 0;
     bool limited = false;
-    for (const ShardRecords &shard : shards) {
+    std::optional<ChunkDecoder> chunks;
+    chunks.emplace(shards, records, functional, enumerateOptionsFor(config),
+                   bounds, config.maxPes, eval.threads, decoder);
+    // Add the stats of the shards before `end`, whose walks are done.
+    std::size_t folded = 0;
+    auto foldShardsBefore = [&](const ShardRecords *end) {
+        for (; folded < shards.size() && &shards[folded] != end; folded++) {
+            rejected += shards[folded].stats.rejected;
+            duplicates += shards[folded].stats.duplicates;
+        }
+    };
+    std::int64_t least_rejected = 0;
+    while (const DecodedChunk *chunk = chunks->next()) {
+        const ShardRecords &shard = *chunk->shard;
         const std::int64_t shard_index = shard.range.shardIndex;
-        const std::int64_t feasible_lo =
-                decoder.feasibleBelow(shard.range.lo);
-        for (const CandidateRecord &record : shard.records) {
-            if (!decoder.canonical(record.code) ||
-                !decoder.decode(record.code))
+        if (chunk->first == 0) {
+            foldShardsBefore(&shard);
+            least_rejected = 0;
+        }
+        for (std::size_t i = chunk->first; i < chunk->end; i++) {
+            const CandidateRecord &record = shard.records[i];
+            const std::size_t k = i - chunk->first;
+            if (!chunk->survivor[k])
                 fail("record code " + std::to_string(record.code) +
                      " does not decode to an orbit-canonical survivor");
-            // The scan decodes every feasible code of its slice: through
-            // a yield, exactly those up to and including its own code.
-            const std::int64_t feasible =
-                    decoder.feasibleBelow(record.code + 1) - feasible_lo;
-            if (record.decodedAfter != feasible)
+            // Through its (i+1)-th yield the scan decoded decoded_after
+            // codes, and rejected every one it neither yielded nor found
+            // a duplicate: a count that only grows, up to the shard's.
+            const std::int64_t rejected_after = chunk->decodedAfter[k] -
+                                                record.duplicatesAfter -
+                                                std::int64_t(i + 1);
+            if (rejected_after < least_rejected ||
+                rejected_after > shard.stats.rejected)
                 fail("record code " + std::to_string(record.code) +
-                     " claims decoded_after " +
-                     std::to_string(record.decodedAfter) +
-                     ", but its shard holds " + std::to_string(feasible) +
-                     " feasible codes through it");
-            auto [entry, fresh] = signatures.insert(decoder.signature());
+                     " derives rejected_after " +
+                     std::to_string(rejected_after) + " (decoded_after " +
+                     std::to_string(chunk->decodedAfter[k]) +
+                     " - duplicates_after " +
+                     std::to_string(record.duplicatesAfter) + " - yields " +
+                     std::to_string(i + 1) + "), outside [" +
+                     std::to_string(least_rejected) + ", " +
+                     std::to_string(shard.stats.rejected) +
+                     "] (the previous record's and the shard's rejected)");
+            least_rejected = rejected_after;
+            auto [entry, fresh] = signatures.insert(
+                    {chunk->signatures.data() + k * width, width},
+                    chunk->hashes[k]);
             if (!fresh) {
                 if (owners[entry] == shard_index)
                     fail("record code " + std::to_string(record.code) +
@@ -714,8 +997,9 @@ mergeShardRecords(std::vector<ShardRecords> shards,
             owners.push_back(shard_index);
             std::size_t index = std::size_t(yielded);
             yielded++;
-            if (config.maxPes > 0 &&
-                analyticPeCount(decoder.cells(), bounds) > config.maxPes) {
+            if (chunk->error && i == chunk->failed)
+                std::rethrow_exception(chunk->error);
+            if (chunk->pruned[k]) {
                 local.prunedEarly++;
             } else {
                 top.offer({record.saturated, record.score, index},
@@ -725,7 +1009,7 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                 // The ranges tile [0, total), so the stop examined
                 // every code through this one.
                 examined = record.code + 1;
-                rejected += record.rejectedAfter;
+                rejected += rejected_after;
                 duplicates += record.duplicatesAfter;
                 limited = true;
                 break;
@@ -733,9 +1017,10 @@ mergeShardRecords(std::vector<ShardRecords> shards,
         }
         if (limited)
             break;
-        rejected += shard.stats.rejected;
-        duplicates += shard.stats.duplicates;
     }
+    if (!limited)
+        foldShardsBefore(nullptr);
+    chunks.reset(); // a stop joins its running decodes before elaboration
 
     const std::int64_t canonical = decoder.canonicalBelow(examined);
     local.enumeration.codesTotal = total;

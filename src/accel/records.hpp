@@ -7,27 +7,34 @@
  * A shard scan (`scanShard`) owns one contiguous slice of the
  * coefficient-code space, cut at equal counts of feasible codes
  * (CandidateDecoder::shardRange), and records every locally-deduplicated
- * survivor: its code, closed-form analytic score, and the
- * serial-equivalent scan counters through that yield — not its matrix,
- * signature or PE count, which are pure functions of the code. The
- * merge (`mergeShardRecords`) re-derives those through one
- * dataflow::detail::CandidateDecoder as it folds N shard files in code
- * order against a global signature set — the consuming walk a
- * SurvivorStream runs over its chunks, lifted to files — then
- * elaborates the folded survivors through the same `evaluateAndRank`
- * back half, so the merged ranking and `DseStats` are bit-for-bit a
- * single process's (tests/shard_merge_test.cpp pins this).
+ * survivor as four numbers: its code, closed-form analytic score
+ * (saturation flag and value), and the shard-local duplicates through
+ * that yield. Everything else about a record is a function of its code
+ * and position: its matrix, signature and PE count; the codes examined
+ * and decoded through it (code - lo + 1, feasibleBelow); and the
+ * rejected codes, decoded - duplicates - yields. The merge
+ * (`mergeShardRecords`) re-derives those through
+ * dataflow::detail::CandidateDecoder — one per worker over code-ordered
+ * chunks — and folds N shard files in code order against a global
+ * signature set, the consuming walk a SurvivorStream runs over its
+ * chunks, lifted to files. Then it elaborates the folded survivors
+ * through the same `evaluateAndRank` back half, so the merged ranking
+ * and `DseStats` are bit-for-bit a single process's
+ * (tests/shard_merge_test.cpp pins this).
  *
  * The on-disk format is one line of JSON carrying a version, a kind
  * tag, and an FNV-1a checksum over the payload's raw bytes. The reader
  * is one strict forward pass that accepts exactly the bytes the writer
- * produces (docs/DISTRIBUTED.md has the grammar), so any damaged or
- * re-spelled byte is rejected as a classified FatalError before a
- * single record is admitted. Mixed versions are refused at parse;
- * ranges that gap, overlap or miss the spec's cuts, a `decoded` or
- * `decoded_after` count other than the feasible codes it covers, and a
- * code that does not decode to an orbit-canonical survivor are refused
- * at merge, and shuffled input order changes nothing.
+ * produces (docs/DISTRIBUTED.md has the grammar): integers and scores
+ * are read back and re-spelled with the writer's own std::to_chars
+ * call, so any damaged or re-spelled byte is rejected as a classified
+ * FatalError before a single record is admitted. Mixed versions are
+ * refused at parse; ranges that gap, overlap or miss the spec's cuts, a
+ * `decoded` count other than the feasible codes it covers, a derived
+ * rejected count that is negative, shrinks along the shard or exceeds
+ * its stats, and a code that does not decode to an orbit-canonical
+ * survivor are refused at merge, and shuffled input order changes
+ * nothing.
  */
 
 #ifndef STELLAR_ACCEL_RECORDS_HPP
@@ -45,7 +52,7 @@ namespace stellar::accel
 {
 
 /** Format version; a mismatch is a classified load error. */
-inline constexpr int kRecordsVersion = 4;
+inline constexpr int kRecordsVersion = 5;
 
 /**
  * The scan parameters every shard of one sweep must agree on. These
@@ -78,11 +85,12 @@ struct ShardRange
 
 /**
  * One locally-deduplicated survivor of a shard scan; its shard-local
- * yield order is its position in ShardRecords::records. The `*After`
- * counters are the serial-equivalent shard-relative scan accounting
- * through this yield (EnumeratedTransform's snapshot fields), which is
- * what lets the merge reproduce a `--enum-limit` stop's stats exactly
- * even when the limit falls mid-shard.
+ * yield order is its position in ShardRecords::records. Of the
+ * serial-equivalent shard-relative scan accounting through this yield
+ * (Survivor's `*After` snapshot), only the duplicates are stored: the
+ * merge derives the rest from the code and the position, which is what
+ * lets it reproduce a `--enum-limit` stop's stats exactly even when the
+ * limit falls mid-shard.
  */
 struct CandidateRecord
 {
@@ -93,9 +101,6 @@ struct CandidateRecord
     bool saturated = false;
     double score = 0.0;
 
-    std::int64_t examinedAfter = 0;
-    std::int64_t decodedAfter = 0;
-    std::int64_t rejectedAfter = 0;
     std::int64_t duplicatesAfter = 0;
 };
 
@@ -134,8 +139,10 @@ std::string serializeShardRecords(const ShardRecords &shard);
  * Parse and validate one shard document as far as it can be without
  * the spec. Rejects wrong kind, version mismatch, checksum mismatch,
  * any spelling the writer would not produce (whitespace, key order,
- * number form), a range outside [0, codes_total], out-of-range or
- * non-monotone codes, and counter-invariant violations — all as
+ * a number std::to_chars would spell otherwise), a range outside
+ * [0, codes_total], out-of-range or non-monotone codes, negative,
+ * shrinking or over-count `duplicates_after`, and counter-invariant
+ * violations — all as
  * classified FatalError, never an unclassified throw. Whether the
  * range is the spec's cut is the merge's check.
  */
@@ -153,7 +160,7 @@ ShardRecords loadShardRecordsFile(const std::string &path);
  *  never change the ranking, so they live outside ShardConfig). */
 struct MergeEvalOptions
 {
-    std::size_t threads = 0;
+    std::size_t threads = 0; //!< decode and elaboration workers (0 = all CPUs)
     std::int64_t stepBudget = 0;
     std::int64_t timeBudgetMillis = 0;
     bool retryWallClockTimeout = false;
@@ -168,14 +175,19 @@ struct MergeEvalOptions
  * a classified error), replay the global consuming walk (re-decode each
  * code, signature dedup, maxPes prune, analytic top-K heap, `enumLimit`
  * stop — in code order, so shuffled input-file order cannot change
- * anything), then elaborate the survivors through `evaluateAndRank`. A
- * walked code that is not an orbit-canonical survivor, a code that
- * repeats a signature its own shard already yielded, and scan counters
- * (a shard's, or a record's `decoded_after`) that disagree with the
+ * anything), then elaborate the survivors through `evaluateAndRank`.
+ * The per-record decode runs on `eval.threads` workers over
+ * code-ordered chunks; the dedup, heap and stop fold serially, so the
+ * first bad record in code order raises the same error at any thread
+ * count and nothing past the stop is checked. A walked code that is not
+ * an orbit-canonical survivor, a code that repeats a signature its own
+ * shard already yielded, a shard's scan counters that disagree with the
  * closed-form canonical or feasible code count they cover
- * (CandidateDecoder::canonicalBelow, feasibleBelow) are classified
- * errors. The returned candidates and `stats` match a single-process
- * `exploreDataflows` run bit-for-bit (timings excepted).
+ * (CandidateDecoder::canonicalBelow, feasibleBelow), and a record whose
+ * derived rejected count is negative, shrinks along its shard or
+ * exceeds the shard's are classified errors. The returned candidates
+ * and `stats` match a single-process `exploreDataflows` run bit-for-bit
+ * (timings excepted).
  */
 std::vector<DseCandidate> mergeShardRecords(
         std::vector<ShardRecords> shards,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdlib>
 #include <deque>
 #include <future>
@@ -631,6 +632,13 @@ struct ScanContext
     {
     }
 
+    /** The length of every survivor's signature: a |st| column per
+     *  spatial axis and a dt, each with one entry per recurrence. */
+    std::size_t signatureWidth() const
+    {
+        return std::size_t(g.n) * recurrences.size();
+    }
+
     const FeasibleIndex &feasibleIndex()
     {
         if (!feasible)
@@ -715,8 +723,7 @@ struct SurvivorStream::Impl : ScanContext
         : ScanContext(spec, opts), scorer(survivor_scorer), whole(scope())
     {
         stats.codesTotal = g.total;
-        width = recurrences.empty() ? 0
-                                    : std::size_t(g.n) * recurrences.size();
+        width = signatureWidth();
         std::size_t threads = options.threads;
         if (threads == 0)
             threads = std::max<std::size_t>(
@@ -979,33 +986,61 @@ CandidateDecoder::signature() const
 }
 
 std::size_t
-SignatureSet::slotOf(const std::int64_t *signature) const
+CandidateDecoder::signatureWidth() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ull ^ width_;
-    for (std::size_t i = 0; i < width_; i++) {
-        h ^= std::uint64_t(signature[i]);
+    return impl_->signatureWidth();
+}
+
+std::uint64_t
+SignatureSet::hash(std::span<const std::int64_t> signature)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull ^ signature.size();
+    for (std::int64_t value : signature) {
+        h ^= std::uint64_t(value);
         h *= 0x9e3779b97f4a7c15ull;
         h ^= h >> 32;
     }
-    return std::size_t(h) & (slots_.size() - 1);
+    return h;
+}
+
+void
+SignatureSet::rehash(std::size_t slots)
+{
+    slots_.assign(slots, 0);
+    for (std::size_t e = 0; e < size_; e++) {
+        std::size_t s = std::size_t(hash({values_.data() + e * width_,
+                                          width_})) &
+                        (slots - 1);
+        while (slots_[s] != 0)
+            s = (s + 1) & (slots - 1);
+        slots_[s] = std::uint32_t(e + 1);
+    }
+}
+
+void
+SignatureSet::reserve(std::size_t entries, std::size_t width)
+{
+    values_.reserve(entries * width);
+    if (2 * (entries + 1) > slots_.size())
+        rehash(std::max<std::size_t>(16, std::bit_ceil(2 * (entries + 1))));
 }
 
 std::pair<std::size_t, bool>
 SignatureSet::insert(std::span<const std::int64_t> signature)
 {
+    return insert(signature, hash(signature));
+}
+
+std::pair<std::size_t, bool>
+SignatureSet::insert(std::span<const std::int64_t> signature,
+                     std::uint64_t signature_hash)
+{
     if (size_ == 0)
         width_ = signature.size();
-    if (2 * (size_ + 1) > slots_.size()) {
-        // Keep the table at most half full: rehash the stored entries.
-        slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
-        for (std::size_t e = 0; e < size_; e++) {
-            std::size_t s = slotOf(values_.data() + e * width_);
-            while (slots_[s] != 0)
-                s = (s + 1) & (slots_.size() - 1);
-            slots_[s] = std::uint32_t(e + 1);
-        }
-    }
-    for (std::size_t s = slotOf(signature.data());;
+    // Keep the table at most half full.
+    if (2 * (size_ + 1) > slots_.size())
+        rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+    for (std::size_t s = std::size_t(signature_hash) & (slots_.size() - 1);;
          s = (s + 1) & (slots_.size() - 1)) {
         if (slots_[s] == 0) {
             values_.insert(values_.end(), signature.begin(),

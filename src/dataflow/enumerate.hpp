@@ -266,6 +266,9 @@ class CandidateDecoder
     std::span<const std::int64_t> cells() const;
     const std::vector<std::int64_t> &signature() const;
 
+    /** The length of every survivor's signature. */
+    std::size_t signatureWidth() const;
+
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
@@ -279,9 +282,22 @@ class CandidateDecoder
 class SignatureSet
 {
   public:
+    /** The hash a signature is filed under: a pure function of it, so
+     *  a caller may compute it off the inserting thread. */
+    static std::uint64_t hash(std::span<const std::int64_t> signature);
+
     /** `signature`'s entry number, and whether this call added it. */
     std::pair<std::size_t, bool>
     insert(std::span<const std::int64_t> signature);
+
+    /** The same, with `hash(signature)` given. */
+    std::pair<std::size_t, bool>
+    insert(std::span<const std::int64_t> signature,
+           std::uint64_t signature_hash);
+
+    /** Room for `entries` signatures of `width` values: adding that
+     *  many rehashes and reallocates nothing. */
+    void reserve(std::size_t entries, std::size_t width);
 
     /** Forget every entry, keeping the storage. */
     void clear();
@@ -290,7 +306,7 @@ class SignatureSet
     const std::vector<std::int64_t> &values() const { return values_; }
 
   private:
-    std::size_t slotOf(const std::int64_t *signature) const;
+    void rehash(std::size_t slots);
 
     std::size_t width_ = 0;
     std::size_t size_ = 0;

@@ -1,7 +1,7 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "util/logging.hpp"
@@ -343,9 +343,11 @@ serialize(const Value &value)
 std::string
 serializeDouble(double value)
 {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
+    char buffer[32];
+    char *end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                              std::chars_format::general, 17)
+                        .ptr;
+    return std::string(buffer, end);
 }
 
 std::string

@@ -95,7 +95,8 @@ Value parse(const std::string &text, const std::string &what = "json",
  *  so every finite double round-trips exactly. */
 std::string serialize(const Value &value);
 
-/** %.17g: the shortest text that round-trips every finite double. */
+/** The %.17g spelling, written by std::to_chars (general format,
+ *  precision 17): a fixed width that round-trips every finite double. */
 std::string serializeDouble(double value);
 
 /** Quote + escape a string for embedding in hand-built JSON text.

@@ -5,10 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace json = stellar::util::json;
 using stellar::FatalError;
@@ -127,6 +135,58 @@ TEST(JsonTest, DoubleFormatterRoundTripsExtremes)
     for (double v : {0.1, 1.0 / 3.0, 1e308, 5e-324, -0.0, 123456789.123}) {
         json::Value parsed = json::parse(json::serializeDouble(v));
         EXPECT_EQ(parsed.number, v);
+    }
+}
+
+/** The C library's %.17g spelling, the reference serializeDouble keeps. */
+std::string
+printf17g(double value)
+{
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    return buffer;
+}
+
+TEST(JsonTest, DoubleFormatterSpellsExactlyLikePrintf17g)
+{
+    std::vector<double> edges = {
+            0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+            -std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX,
+            -DBL_MAX, DBL_EPSILON, 0.1, 1.0 / 3.0,
+            std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::quiet_NaN()};
+    for (int e = -323; e <= 308; e++)
+        edges.push_back(std::pow(10.0, e)); // powers of ten
+    for (std::int64_t i = -1000; i <= 1000; i++)
+        edges.push_back(double(i)); // integers
+    for (int e = 0; e <= 63; e++) {
+        const double power = std::ldexp(1.0, e);
+        edges.insert(edges.end(), {power, power - 1, power + 1, -power});
+    }
+    for (double v : edges)
+        ASSERT_EQ(json::serializeDouble(v), printf17g(v)) << printf17g(v);
+
+    // Random bit patterns cover every exponent and subnormals; random
+    // values in [0, 1) and short decimals cover the common scores.
+    stellar::Rng rng(17);
+    for (int i = 0; i < 1000000; i++) {
+        double v = 0.0;
+        switch (i % 3) {
+          case 0:
+            v = std::bit_cast<double>(rng.next());
+            break;
+          case 1:
+            v = rng.nextDouble();
+            break;
+          default:
+            v = double(rng.nextRange(-999999, 999999)) / 1000.0;
+            break;
+        }
+        if (!std::isfinite(v))
+            continue;
+        ASSERT_EQ(json::serializeDouble(v), printf17g(v))
+                << "draw " << i << ": " << printf17g(v);
     }
 }
 

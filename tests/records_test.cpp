@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "accel/records.hpp"
+#include "accel/report.hpp"
 #include "dataflow/enumerate.hpp"
 #include "func/library.hpp"
 #include "model/params.hpp"
@@ -100,9 +102,6 @@ TEST(Records, RoundTripIsByteExact)
             EXPECT_EQ(got.code, want.code);
             EXPECT_EQ(got.saturated, want.saturated);
             EXPECT_EQ(got.score, want.score);
-            EXPECT_EQ(got.examinedAfter, want.examinedAfter);
-            EXPECT_EQ(got.decodedAfter, want.decodedAfter);
-            EXPECT_EQ(got.rejectedAfter, want.rejectedAfter);
             EXPECT_EQ(got.duplicatesAfter, want.duplicatesAfter);
         }
         total_records += std::int64_t(shard.records.size());
@@ -110,30 +109,46 @@ TEST(Records, RoundTripIsByteExact)
     EXPECT_GT(total_records, 0) << "the scan found nothing to record";
 }
 
-TEST(Records, VersionFourRecordsCarryNoDerivedFields)
+TEST(Records, VersionFiveRecordsCarryNoDerivedFields)
 {
     // Matrix, signature and PE count are pure functions of the code, and
-    // so are the skip counts through a record (canonicalBelow); the
-    // merge re-derives them, so none of them crosses the boundary. The
-    // shard-level feasibility_skipped is the one skip field.
+    // so are the skip, examined and decoded counts through a record
+    // (canonicalBelow, code - lo + 1, feasibleBelow) and, from those and
+    // its position, its rejected count; the merge re-derives them, so
+    // none of them crosses the boundary. A record is a keyless array
+    // [code,saturated,score,duplicates_after]; the shard-level
+    // feasibility_skipped is the one skip field.
     auto shards = scanAll(smallConfig(), 1);
     ASSERT_FALSE(shards[0].records.empty());
     std::string text = accel::serializeShardRecords(shards[0]);
-    EXPECT_NE(text.find("\"version\":4"), std::string::npos);
+    EXPECT_NE(text.find("\"version\":5"), std::string::npos);
     for (const char *key :
          {"\"matrix\"", "\"signature\"", "\"analytic_pes\"",
-          "\"local_index\"", "\"feasibility_skipped_after\""})
+          "\"local_index\"", "\"feasibility_skipped_after\"",
+          "\"code\"", "\"score\"", "examined_after", "decoded_after",
+          "rejected_after", "duplicates_after"})
         EXPECT_EQ(text.find(key), std::string::npos) << key;
     EXPECT_EQ(text.find("\"feasibility_skipped\""),
               text.rfind("\"feasibility_skipped\""));
     EXPECT_NE(text.find("\"feasibility_skipped\""), std::string::npos);
+
+    // Each record spells exactly its four numbers.
+    const auto &record = shards[0].records.front();
+    char score[32];
+    *std::to_chars(score, score + sizeof(score), record.score).ptr = '\0';
+    const std::string first = "\"records\":[[" +
+                              std::to_string(record.code) + "," +
+                              (record.saturated ? "1" : "0") + "," + score +
+                              "," + std::to_string(record.duplicatesAfter) +
+                              "]";
+    EXPECT_NE(text.find(first), std::string::npos) << first;
 }
 
 /** Rewrite the version field of a serialized document. */
 std::string
 withVersion(std::string text, int version)
 {
-    std::size_t at = text.find("\"version\":4");
+    std::size_t at = text.find("\"version\":5");
     EXPECT_NE(at, std::string::npos);
     if (at != std::string::npos)
         text.replace(at, 11, "\"version\":" + std::to_string(version));
@@ -149,7 +164,7 @@ TEST(Records, VersionOneDocumentIsRejectedClassified)
             [&] { accel::parseShardRecords(text); }, "version 1");
     EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
     EXPECT_NE(failure.message.find(
-                      "unsupported version 1 (this build reads version 4)"),
+                      "unsupported version 1 (this build reads version 5)"),
               std::string::npos)
             << failure.message;
 }
@@ -165,7 +180,7 @@ TEST(Records, VersionTwoDocumentIsRejectedClassified)
             [&] { accel::parseShardRecords(text); }, "version 2");
     EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
     EXPECT_NE(failure.message.find(
-                      "unsupported version 2 (this build reads version 4)"),
+                      "unsupported version 2 (this build reads version 5)"),
               std::string::npos)
             << failure.message;
 }
@@ -181,7 +196,24 @@ TEST(Records, VersionThreeDocumentIsRejectedClassified)
             [&] { accel::parseShardRecords(text); }, "version 3");
     EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
     EXPECT_NE(failure.message.find(
-                      "unsupported version 3 (this build reads version 4)"),
+                      "unsupported version 3 (this build reads version 5)"),
+              std::string::npos)
+            << failure.message;
+}
+
+// Version 4 stored examined_after, decoded_after and rejected_after in
+// keyed records; its records are not version 5's arrays, so a v4 file
+// must not fold in.
+TEST(Records, VersionFourDocumentIsRejectedClassified)
+{
+    auto shards = scanAll(smallConfig(), 1);
+    std::string text =
+            withVersion(accel::serializeShardRecords(shards[0]), 4);
+    auto failure = expectClassifiedThrow(
+            [&] { accel::parseShardRecords(text); }, "version 4");
+    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+    EXPECT_NE(failure.message.find(
+                      "unsupported version 4 (this build reads version 5)"),
               std::string::npos)
             << failure.message;
 }
@@ -273,18 +305,19 @@ withFreshChecksum(std::string text)
 TEST(Records, RespelledDocumentsAreRejectedClassified)
 {
     // The reader accepts exactly the bytes the writer produces. A
-    // JSON-equal re-spelling fails the raw-byte checksum, and one that
-    // changes the structure fails the strict grammar even when its
-    // checksum is recomputed over the edited payload.
+    // JSON-equal re-spelling fails the raw-byte checksum, and it also
+    // fails the strict grammar even when its checksum is recomputed over
+    // the edited payload: every number is re-spelled with the writer's
+    // std::to_chars call and must come out the same.
     auto shards = scanAll(smallConfig(), 1);
     ASSERT_FALSE(shards[0].records.empty());
-    shards[0].records.front().score = 1e-300;
+    shards[0].records.front().score = 0.1;
     const std::string text = accel::serializeShardRecords(shards[0]);
     ASSERT_NO_THROW(accel::parseShardRecords(text));
 
-    // The first record, `{"code":...}`, and its comma-separated fields.
-    const std::size_t first = text.find("{\"code\":");
-    const std::size_t last = text.find('}', first);
+    // The first record, `[code,...]`, and its comma-separated fields.
+    const std::size_t first = text.find("\"records\":[[") + 11;
+    const std::size_t last = text.find(']', first);
     ASSERT_NE(first, std::string::npos);
     const std::string record = text.substr(first, last + 1 - first);
     std::vector<std::string> fields;
@@ -295,44 +328,51 @@ TEST(Records, RespelledDocumentsAreRejectedClassified)
         fields.push_back(record.substr(at, end - at));
         at = end + 1;
     }
-    ASSERT_EQ(fields.size(), 7u);
-    ASSERT_EQ(fields[2], "\"score\":1e-300");
+    ASSERT_EQ(fields.size(), 4u);
+    ASSERT_EQ(fields[2], "0.1");
     auto withRecord = [&](const std::vector<std::string> &edited) {
-        std::string body = "{";
+        std::string body = "[";
         for (std::size_t i = 0; i < edited.size(); i++)
             body += (i == 0 ? "" : ",") + edited[i];
         std::string out = text;
-        out.replace(first, record.size(), body + "}");
+        out.replace(first, record.size(), body + "]");
         return out;
+    };
+    auto with = [&](std::size_t field, const std::string &spelling) {
+        auto edited = fields;
+        edited[field] = spelling;
+        return withRecord(edited);
     };
 
     auto swapped = fields;
-    std::swap(swapped[1], swapped[2]);
+    std::swap(swapped[0], swapped[2]);
     auto extra = fields;
-    extra.push_back("\"extra\":1");
+    extra.push_back("1");
     auto dropped = fields;
     dropped.pop_back();
-    auto fractional = fields;
-    fractional[0] += ".0";
-    auto spaced = fields;
-    spaced[0].insert(spaced[0].find(':') + 1, " ");
-    auto upper = fields;
-    upper[2] = "\"score\":1E-300";
+
+    char g17[32];
+    std::snprintf(g17, sizeof(g17), "%.17g", 0.1);
+    ASSERT_STREQ(g17, "0.10000000000000001");
 
     struct Case
     {
         const char *what;
         std::string text;
-        bool structural;
     };
     const std::vector<Case> cases = {
-            {"whitespace in a record", withRecord(spaced), true},
-            {"trailing newline", text + "\n", true},
-            {"swapped keys", withRecord(swapped), true},
-            {"extra field", withRecord(extra), true},
-            {"dropped field", withRecord(dropped), true},
-            {"integer spelled N.0", withRecord(fractional), true},
-            {"exponent e spelled E", withRecord(upper), false},
+            {"whitespace in a record", with(0, " " + fields[0])},
+            {"trailing newline", text + "\n"},
+            {"swapped fields", withRecord(swapped)},
+            {"extra field", withRecord(extra)},
+            {"dropped field", withRecord(dropped)},
+            {"integer spelled N.0", with(0, fields[0] + ".0")},
+            {"integer with a leading zero", with(3, "0" + fields[3])},
+            {"saturated spelled false", with(1, "false")},
+            {"exponent e spelled E", with(2, "1E-01")},
+            {"exponent spelled e", with(2, "1e-01")},
+            {"score with a trailing zero", with(2, "0.10")},
+            {"score spelled %.17g", with(2, g17)},
     };
     for (const Case &c : cases) {
         ASSERT_NE(c.text, text) << c.what;
@@ -342,8 +382,6 @@ TEST(Records, RespelledDocumentsAreRejectedClassified)
         EXPECT_NE(failure.message.find("checksum mismatch"),
                   std::string::npos)
                 << c.what << ": " << failure.message;
-        if (!c.structural)
-            continue;
         std::string fresh = withFreshChecksum(c.text);
         failure = expectClassifiedThrow(
                 [&] { accel::parseShardRecords(fresh); }, c.what);
@@ -396,29 +434,37 @@ TEST(Records, HardScoresRoundTripBitExact)
                 << "record " << i << " score " << records[i].score;
 }
 
-/** Merge `shards` and expect a classified UserSpec refusal whose
- *  message contains `message`. */
+/** Merge `shards` at 1, 2 and 4 threads and expect the same classified
+ *  UserSpec refusal each time, with a message containing `message`:
+ *  the first bad record in code order wins at any thread count. */
 void
-expectMergeRefused(std::vector<accel::ShardRecords> shards,
+expectMergeRefused(const std::vector<accel::ShardRecords> &shards,
                    const char *what, const char *message)
 {
     model::AreaParams area_params;
     model::TimingParams timing_params;
     auto config = smallConfig();
     IntVec bounds = {config.dim, config.dim, config.dim};
-    accel::MergeEvalOptions eval;
-    eval.threads = 1;
-    auto failure = expectClassifiedThrow(
-            [&] {
-                accel::mergeShardRecords(std::move(shards),
-                                         func::matmulSpec(), bounds, eval,
-                                         area_params, timing_params,
-                                         nullptr);
-            },
-            what);
-    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec) << what;
-    EXPECT_NE(failure.message.find(message), std::string::npos)
-            << failure.message;
+    std::string serial;
+    for (std::size_t threads : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(what) + " at " + std::to_string(threads) +
+                     " thread(s)");
+        accel::MergeEvalOptions eval;
+        eval.threads = threads;
+        auto failure = expectClassifiedThrow(
+                [&] {
+                    accel::mergeShardRecords(shards, func::matmulSpec(),
+                                             bounds, eval, area_params,
+                                             timing_params, nullptr);
+                },
+                what);
+        EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+        EXPECT_NE(failure.message.find(message), std::string::npos)
+                << failure.message;
+        if (threads == 1)
+            serial = failure.message;
+        EXPECT_EQ(failure.message, serial);
+    }
 }
 
 /** The enumeration options every shard of smallConfig() scans under. */
@@ -450,8 +496,6 @@ TEST(Records, TamperedRangeIsRejectedEvenWithAFreshChecksum)
     tampered.range.lo -= 1; // overlaps shard 0's slice
     tampered.stats.codesExamined += 1; // keep the counter invariant
     tampered.stats.orbitSkipped += 1;
-    for (auto &record : tampered.records)
-        record.examinedAfter += 1;
     tampered = accel::parseShardRecords(
             accel::serializeShardRecords(tampered));
     expectMergeRefused(shards, "overlapping range", "do not tile");
@@ -477,8 +521,6 @@ TEST(Records, MovedCutIsRejectedEvenWithAFreshChecksum)
     right.range.lo -= 1;
     right.stats.codesExamined += 1;
     right.stats.orbitSkipped += 1;
-    for (auto &record : right.records)
-        record.examinedAfter += 1;
     for (auto &shard : shards)
         shard = accel::parseShardRecords(
                 accel::serializeShardRecords(shard));
@@ -526,11 +568,7 @@ TEST(Records, DecodedBeyondTheCanonicalCountIsRejected)
     // Claim more decoded codes than the range holds canonical ones, with
     // every parse-time invariant kept and a fresh checksum: only the
     // merge's closed-form canonical count can refuse it.
-    model::AreaParams area_params;
-    model::TimingParams timing_params;
-    auto config = smallConfig();
-    IntVec bounds = {config.dim, config.dim, config.dim};
-    auto shards = scanAll(config, 2);
+    auto shards = scanAll(smallConfig(), 2);
     auto &stats = shards[1].stats;
     const std::int64_t extra = stats.feasibilitySkipped + 1;
     stats.decoded += extra;
@@ -539,42 +577,31 @@ TEST(Records, DecodedBeyondTheCanonicalCountIsRejected)
     stats.orbitSkipped -= 1;
     shards[1] = accel::parseShardRecords(
             accel::serializeShardRecords(shards[1]));
-    accel::MergeEvalOptions eval;
-    eval.threads = 1;
-    auto failure = expectClassifiedThrow(
-            [&] {
-                accel::mergeShardRecords(shards, func::matmulSpec(), bounds,
-                                         eval, area_params, timing_params,
-                                         nullptr);
-            },
-            "decoded beyond canonical");
-    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
-    EXPECT_NE(failure.message.find("canonical codes"), std::string::npos)
-            << failure.message;
+    expectMergeRefused(shards, "decoded beyond canonical", "canonical codes");
 }
 
 TEST(Records, MovedCodeWithoutItsScanSnapshotIsRejected)
 {
-    // The scan covers its slice code by code, so a record's
-    // examined_after is its code's offset in the slice plus one: a code
-    // moved without that counter fails at parse, fresh checksum or not.
+    // A record's examined and decoded counts are derived from its code,
+    // so a moved code carries a matching snapshot and parses. The first
+    // record is the first survivor of its slice: every earlier code is
+    // not canonical, filtered out or rejected, so the merge's re-decode
+    // refuses the moved code.
     auto shards = scanAll(smallConfig(), 1);
     ASSERT_FALSE(shards[0].records.empty());
     auto &record = shards[0].records.front();
     ASSERT_GT(record.code, shards[0].range.lo);
     record.code -= 1;
-    std::string text = accel::serializeShardRecords(shards[0]);
-    auto failure = expectClassifiedThrow(
-            [&] { accel::parseShardRecords(text); }, "moved code");
-    EXPECT_NE(failure.message.find("examined_after"), std::string::npos)
-            << failure.message;
+    shards[0] = accel::parseShardRecords(
+            accel::serializeShardRecords(shards[0]));
+    expectMergeRefused(shards, "moved code", "does not decode");
 }
 
 TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
 {
     // A record carries no matrix: the merge re-derives it from the
-    // code. Rewriting a code (and the examined_after and decoded_after
-    // that pin it) under a fresh checksum parses cleanly, so the merge's
+    // code, and its examined and decoded counts with it. Rewriting a
+    // code under a fresh checksum parses cleanly, so the merge's
     // re-decode is what has to refuse a code that is not an
     // orbit-canonical survivor, or that repeats a signature its own
     // shard already yielded.
@@ -590,16 +617,29 @@ TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
         auto forged = shards;
         for (auto &shard : forged) {
             std::int64_t lo = shard.range.lo;
-            for (auto &record : shard.records) {
+            for (std::size_t i = 0; i < shard.records.size(); i++) {
+                auto &record = shard.records[i];
                 for (std::int64_t code = lo; code < record.code; code++) {
                     if (!wanted(shard.range.shardIndex, code))
                         continue;
                     record.code = code;
-                    record.examinedAfter = code - shard.range.lo + 1;
-                    // (The parse requires at least one decoded code.)
-                    record.decodedAfter = std::max<std::int64_t>(
-                            1, decoder.feasibleBelow(code + 1) -
-                                       decoder.feasibleBelow(shard.range.lo));
+                    if (decoder.canonical(code) && decoder.decode(code)) {
+                        // Keep the derived rejected count the scan's own
+                        // through `code` (its feasible codes that do not
+                        // decode), so the signature check is what fires.
+                        const std::int64_t lo_rank =
+                                decoder.feasibleBelow(shard.range.lo);
+                        std::int64_t rejected = 0;
+                        for (std::int64_t c = shard.range.lo; c <= code;
+                             c++)
+                            if (decoder.feasibleBelow(c + 1) !=
+                                        decoder.feasibleBelow(c) &&
+                                !decoder.decode(c))
+                                rejected++;
+                        record.duplicatesAfter =
+                                decoder.feasibleBelow(code + 1) - lo_rank -
+                                rejected - std::int64_t(i + 1);
+                    }
                     shard = accel::parseShardRecords(
                             accel::serializeShardRecords(shard));
                     return forged;
@@ -647,23 +687,198 @@ TEST(Records, ForgedCodeIsRejectedEvenWithAFreshChecksum)
                        "repeated cross-shard signature", "repeats a signature");
 }
 
-TEST(Records, ForgedDecodedAfterIsRejectedEvenWithAFreshChecksum)
+/** A merge's ranking and stats as comparable text. */
+std::string
+mergedText(std::vector<accel::ShardRecords> shards, std::size_t threads)
 {
-    // A record's decoded_after is a function of its code: the feasible
-    // codes of its shard up to and including it. One off either way,
-    // under a fresh checksum and with every parse-time invariant kept,
-    // only the merge's closed-form count can refuse it.
-    const auto shards = scanAll(smallConfig(), 2);
-    ASSERT_GE(shards[1].records.size(), 2u);
-    for (std::int64_t delta : {-1, 1}) {
-        SCOPED_TRACE("delta " + std::to_string(delta));
-        auto forged = shards;
-        forged[1].records.back().decodedAfter += delta;
-        forged[1] = accel::parseShardRecords(
-                accel::serializeShardRecords(forged[1]));
-        expectMergeRefused(std::move(forged), "forged decoded_after",
-                           "claims decoded_after");
+    model::AreaParams area_params;
+    model::TimingParams timing_params;
+    auto config = shards.front().config;
+    IntVec bounds = {config.dim, config.dim, config.dim};
+    accel::MergeEvalOptions eval;
+    eval.threads = threads;
+    accel::DseStats stats;
+    std::string out;
+    for (const auto &candidate : accel::mergeShardRecords(
+                 std::move(shards), func::matmulSpec(), bounds, eval,
+                 area_params, timing_params, &stats)) {
+        char score[32];
+        std::snprintf(score, sizeof(score), "%.17g", candidate.score);
+        out += candidate.transform.matrix().toString() + " " +
+               std::to_string(candidate.enumIndex) + " " + score + "\n";
     }
+    stats.threadsUsed = 0; // the one field that names the thread count
+    return out + accel::dseStatsReport(stats, false);
+}
+
+TEST(Records, ForgedDuplicatesAfterIsRejectedEvenWithAFreshChecksum)
+{
+    // Of a record's scan snapshot only duplicates_after is stored; the
+    // merge derives rejected_after = decoded_after - duplicates_after -
+    // yields through the record. Moving one count between the two by
+    // one, under a fresh checksum, is refused wherever it shows: where
+    // either count falls below the previous record's (or 0) or rises
+    // above the next record's (or the shard's) — duplicates_after at
+    // parse, the derived rejected_after at merge. Elsewhere only a limit
+    // stop on that record reads the forged count, so an unlimited merge
+    // is unchanged.
+    const auto shards = scanAll(smallConfig(), 2);
+    const accel::ShardRecords &shard = shards[1];
+    const std::string clean = mergedText(shards, 1);
+    dataflow::detail::CandidateDecoder decoder(func::matmulSpec(),
+                                               smallOptions());
+    const std::size_t n = shard.records.size();
+    ASSERT_GE(n, 2u);
+    std::vector<std::int64_t> duplicates(n), rejected(n);
+    for (std::size_t i = 0; i < n; i++) {
+        const auto &record = shard.records[i];
+        duplicates[i] = record.duplicatesAfter;
+        rejected[i] = decoder.feasibleBelow(record.code + 1) -
+                      decoder.feasibleBelow(shard.range.lo) -
+                      record.duplicatesAfter - std::int64_t(i + 1);
+    }
+    // Whether `counts` with entry i set to `value` stops being a
+    // non-decreasing run from 0 to `total`.
+    auto breaks = [&](const std::vector<std::int64_t> &counts,
+                      std::size_t i, std::int64_t value,
+                      std::int64_t total) {
+        return value < (i == 0 ? 0 : counts[i - 1]) ||
+               value > (i + 1 == n ? total : counts[i + 1]);
+    };
+    int at_parse = 0, at_merge = 0, unchanged = 0;
+    for (std::int64_t delta : {-1, 1}) {
+        for (std::size_t i = 0; i < n; i++) {
+            SCOPED_TRACE("record " + std::to_string(i) + " delta " +
+                         std::to_string(delta));
+            auto forged = shards;
+            forged[1].records[i].duplicatesAfter += delta;
+            const std::string text =
+                    accel::serializeShardRecords(forged[1]);
+            if (breaks(duplicates, i, duplicates[i] + delta,
+                       shard.stats.duplicates)) {
+                auto failure = expectClassifiedThrow(
+                        [&] { accel::parseShardRecords(text); },
+                        "forged duplicates_after");
+                EXPECT_NE(failure.message.find("claims duplicates_after"),
+                          std::string::npos)
+                        << failure.message;
+                at_parse++;
+                continue;
+            }
+            forged[1] = accel::parseShardRecords(text);
+            if (breaks(rejected, i, rejected[i] - delta,
+                       shard.stats.rejected)) {
+                expectMergeRefused(forged, "forged duplicates_after",
+                                   "derives rejected_after");
+                at_merge++;
+                continue;
+            }
+            EXPECT_EQ(mergedText(forged, 1), clean);
+            unchanged++;
+        }
+    }
+    EXPECT_GT(at_parse, 0);
+    EXPECT_GT(at_merge, 0);
+    EXPECT_GT(unchanged, 0);
+    EXPECT_EQ(at_parse + at_merge + unchanged, int(2 * n));
+}
+
+TEST(Records, MergeIsIdenticalAtEveryThreadCount)
+{
+    // The decode runs on the merge's workers, the fold on one thread in
+    // code order: candidates and stats cannot depend on the count, also
+    // when a limit stops the walk mid-chunk or the maxPes prune drops
+    // survivors.
+    for (std::int64_t max_pes : {0, 6}) {
+        for (std::int64_t limit : {1, 17, 60, 4096}) {
+            auto config = smallConfig();
+            config.maxPes = max_pes;
+            config.enumLimit = limit;
+            for (std::int64_t shard_count : {1, 3, 7}) {
+                SCOPED_TRACE("max_pes " + std::to_string(max_pes) +
+                             " limit " + std::to_string(limit) + " " +
+                             std::to_string(shard_count) + " shard(s)");
+                auto shards = scanAll(config, shard_count);
+                const std::string serial = mergedText(shards, 1);
+                EXPECT_EQ(mergedText(shards, 2), serial);
+                EXPECT_EQ(mergedText(shards, 4), serial);
+            }
+        }
+    }
+}
+
+TEST(Records, DecodeWorkerErrorsSurfaceInCodeOrder)
+{
+    // The maxPes prune runs on the decode workers. With bounds that do
+    // not fit the transforms it throws at the first survivor, and a
+    // forged record before that survivor must still win, exactly as in
+    // the serial walk, at any thread count.
+    auto config = smallConfig();
+    config.maxPes = 4;
+    const auto shards = scanAll(config, 3);
+    auto forged = shards;
+    // Shard 0's first record is the first survivor of the space, so the
+    // code before it is not one.
+    ASSERT_GT(forged[0].records.front().code, 0);
+    forged[0].records.front().code -= 1;
+    model::AreaParams area_params;
+    model::TimingParams timing_params;
+    const IntVec bounds = {config.dim, config.dim}; // one short
+    auto messages = [&](const std::vector<accel::ShardRecords> &set) {
+        std::vector<std::string> out;
+        for (std::size_t threads : {1, 2, 4}) {
+            accel::MergeEvalOptions eval;
+            eval.threads = threads;
+            out.push_back(expectClassifiedThrow(
+                                  [&] {
+                                      accel::mergeShardRecords(
+                                              set, func::matmulSpec(),
+                                              bounds, eval, area_params,
+                                              timing_params, nullptr);
+                                  },
+                                  "bounds that do not fit")
+                                  .message);
+        }
+        return out;
+    };
+    for (const auto &[set, message] :
+         {std::pair(shards, "dimensionality"),
+          std::pair(forged, "does not decode")}) {
+        const auto got = messages(set);
+        EXPECT_NE(got[0].find(message), std::string::npos) << got[0];
+        EXPECT_EQ(got[1], got[0]);
+        EXPECT_EQ(got[2], got[0]);
+    }
+}
+
+TEST(Records, HugeYieldedIsRefusedWithoutAHugeReservation)
+{
+    // A forged `yielded` (its space and counters kept consistent, under a
+    // fresh checksum) must not size the record buffer: the reader
+    // reserves at most one record per 9 payload bytes, the shortest
+    // record spelling, and refuses the count it cannot find. Without
+    // that bound the reservation below would ask for 2^49 bytes and
+    // fail as an allocation error instead.
+    auto shards = scanAll(smallConfig(), 1);
+    auto &shard = shards[0];
+    const std::int64_t huge = std::int64_t(1) << 44;
+    shard.range.codesTotal = shard.stats.codesTotal = 4 * huge;
+    shard.range.hi = shard.range.codesTotal;
+    shard.stats.codesExamined = shard.range.hi - shard.range.lo;
+    shard.stats.yielded = huge;
+    shard.stats.decoded =
+            shard.stats.yielded + shard.stats.rejected + shard.stats.duplicates;
+    shard.stats.orbitSkipped = shard.stats.codesExamined -
+                               shard.stats.feasibilitySkipped -
+                               shard.stats.decoded;
+    const std::string text = accel::serializeShardRecords(shard);
+    auto failure = expectClassifiedThrow(
+            [&] { accel::parseShardRecords(text); }, "huge yielded");
+    EXPECT_EQ(failure.kind, util::FailureKind::UserSpec);
+    EXPECT_NE(failure.message.find("record count disagrees with "
+                                   "stats.yielded"),
+              std::string::npos)
+            << failure.message;
 }
 
 TEST(Records, MergeRejectsIncompleteDuplicateAndMixedConfigSets)

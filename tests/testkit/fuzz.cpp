@@ -485,14 +485,17 @@ evaluateRecordsInput(Rng &rng, const FuzzOptions &options,
         return {};
     }
     if (attack == 8 && !shards[std::size_t(victim)].records.empty()) {
-        // Forged code: rewrite one record's code (and the examined_after
-        // that pins it) to a code between its predecessor's and its own,
-        // then re-checksum, so the document parses and only the merge's
-        // re-decode can catch it. Every such code but the original is
-        // non-canonical, filtered out, or a repeat of a signature the
-        // shard yielded earlier (else the scan would have recorded it),
-        // so the set merges byte-identically — the code is unchanged or
-        // lies past the enum limit — or is rejected classified.
+        // Forged code: rewrite one record's code to a code between its
+        // predecessor's and its own, then re-checksum, so the document
+        // parses (a record's examined and decoded counts are derived
+        // from its code, and its stored duplicates_after stays in
+        // order) and only the merge can catch it. Every such code but
+        // the original is non-canonical, filtered out, or a repeat of a
+        // signature the shard yielded earlier (else the scan would have
+        // recorded it), so the set merges byte-identically — the code
+        // is unchanged or lies past the enum limit — or is rejected
+        // classified, by the re-decode or by the rejected count the
+        // merge derives for the moved code.
         const std::string clean = mergeAll(shards);
         auto &shard = shards[std::size_t(victim)];
         std::size_t at = std::size_t(
@@ -502,7 +505,6 @@ evaluateRecordsInput(Rng &rng, const FuzzOptions &options,
                                   : shard.records[at - 1].code + 1;
         record.code = lo + std::int64_t(rng.nextBounded(
                                    std::uint64_t(record.code - lo + 1)));
-        record.examinedAfter = record.code - shard.range.lo + 1;
         shard = accel::parseShardRecords(
                 accel::serializeShardRecords(shard));
         if (mergeAll(shards) != clean)
