@@ -148,11 +148,13 @@ std::int64_t
 analyticPeCount(const dataflow::SpaceTimeTransform &transform,
                 const IntVec &bounds)
 {
-    return analyticPeCount(transform.matrix().cells(), bounds);
+    IntVec kernel;
+    return analyticPeCount(transform.matrix().cells(), bounds, kernel);
 }
 
 std::int64_t
-analyticPeCount(std::span<const std::int64_t> cells, const IntVec &bounds)
+analyticPeCount(std::span<const std::int64_t> cells, const IntVec &bounds,
+                IntVec &kernel)
 {
     const int d = int(bounds.size());
     require(cells.size() == std::size_t(d) * std::size_t(d),
@@ -160,7 +162,6 @@ analyticPeCount(std::span<const std::int64_t> cells, const IntVec &bounds)
     if (d == 1)
         return 1; // no spatial axes: every point folds onto one PE
     bool saturated = false;
-    IntVec kernel;
     if (!detail::spatialKernelInto(cells.data(), d, kernel, &saturated))
         return std::numeric_limits<std::int64_t>::max();
     return detail::distinctImages(bounds, kernel, &saturated);

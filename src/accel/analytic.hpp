@@ -68,9 +68,11 @@ std::int64_t analyticPeCount(const dataflow::SpaceTimeTransform &transform,
                              const IntVec &bounds);
 
 /** The same count for the transform whose row-major matrix is `cells`
- *  (bounds.size() squared entries), as a DSE scan decodes it. */
+ *  (bounds.size() squared entries), as a DSE scan decodes it. `kernel`
+ *  is the caller's scratch, so a scan worker that counts every
+ *  survivor allocates once. */
 std::int64_t analyticPeCount(std::span<const std::int64_t> cells,
-                             const IntVec &bounds);
+                             const IntVec &bounds, IntVec &kernel);
 
 /**
  * Full analytic probe of a candidate against a (possibly pruned)

@@ -164,7 +164,7 @@ FrontHalfScorer::score(std::span<const std::int64_t> cells)
 {
     dataflow::Verdict verdict;
     verdict.pruned =
-            maxPes_ > 0 && analyticPeCount(cells, bounds_) > maxPes_;
+            maxPes_ > 0 && analyticPeCount(cells, bounds_, kernel_) > maxPes_;
     if (verdict.pruned || !model_)
         return verdict;
     auto start = Clock::now();

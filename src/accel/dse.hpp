@@ -312,6 +312,7 @@ class FrontHalfScorer final : public dataflow::SurvivorScorer
   private:
     IntVec bounds_;
     std::int64_t maxPes_ = 0;
+    IntVec kernel_; //!< analyticPeCount's scratch
     std::optional<AnalyticCostModel> model_; //!< only in a tiered run
     std::atomic<std::int64_t> *scoreNanos_;
 };

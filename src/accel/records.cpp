@@ -627,7 +627,7 @@ using dataflow::detail::CandidateDecoder;
  * fold's SignatureSet files it under, and whether the maxPes prune
  * drops it. A slot's buffers are sized once and reused by every chunk
  * that lands in it, so the decode writes into no new memory (the PE
- * count, run only under max_pes, allocates its own scratch). A throw
+ * count, run only under max_pes, keeps its scratch in `kernel`). A throw
  * from the PE count stops the chunk at that record; the fold rethrows
  * it where the serial walk would have.
  */
@@ -641,6 +641,7 @@ struct DecodedChunk
     std::vector<std::int64_t> decodedAfter;
     std::vector<std::int64_t> signatures; //!< back to back, in order
     std::vector<std::uint64_t> hashes;
+    IntVec kernel; //!< analyticPeCount's scratch
     std::exception_ptr error; //!< what pruning record `failed` threw
     std::size_t failed = 0;
 
@@ -673,7 +674,7 @@ struct DecodedChunk
             hashes[k] = dataflow::detail::SignatureSet::hash(signature);
             try {
                 pruned[k] = max_pes > 0 &&
-                            analyticPeCount(decoder.cells(), bounds) >
+                            analyticPeCount(decoder.cells(), bounds, kernel) >
                                     max_pes;
             } catch (...) {
                 error = std::current_exception();

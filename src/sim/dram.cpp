@@ -1,7 +1,6 @@
 #include "sim/dram.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <string>
 
 #include "util/fault_inject.hpp"
@@ -11,7 +10,8 @@
 namespace stellar::sim
 {
 
-DramModel::DramModel(DramConfig config) : config_(config)
+DramModel::DramModel(DramConfig config)
+    : config_(config), inflight_(config.maxOutstanding)
 {
     require(config_.latency >= 0, "DramConfig::latency must not be negative");
     require(config_.bytesPerCycle >= 1,
@@ -56,17 +56,84 @@ DramModel::issue(std::int64_t now, std::int64_t bytes)
     return completion;
 }
 
+void
+DramModel::relativeState(std::int64_t now,
+                         std::vector<std::int64_t> &out) const
+{
+    outstanding(now);
+    out.clear();
+    out.push_back(std::max<std::int64_t>(bwCursor_ - now, 0));
+    for (std::size_t i = 0; i < inflight_.size(); i++)
+        out.push_back(inflight_[i] - now);
+}
+
+void
+DramModel::shift(std::int64_t now, std::int64_t cycles, std::int64_t bytes)
+{
+    outstanding(now);
+    for (std::size_t i = 0; i < inflight_.size(); i++)
+        inflight_[i] += cycles;
+    bwCursor_ += cycles;
+    bytesTransferred_ += bytes;
+}
+
 namespace
 {
 
+/** Where a transfer stood at the start of one of its waves. */
+struct WaveMark
+{
+    std::int64_t wave = 0;
+    std::int64_t now = 0;
+    std::int64_t chunk = 0;
+    std::int64_t bytes = 0;
+};
+
+/**
+ * Brent's cycle detection over the DRAM's relative state at wave
+ * starts: the state is saved at waves 0, 1, 3, 7, ..., and each wave
+ * compares its state with the last one saved.
+ */
+class WavePeriod
+{
+  public:
+    /** True when the state at `mark` repeats the one saved at saved(). */
+    bool
+    repeats(const DramModel &dram, const WaveMark &mark)
+    {
+        dram.relativeState(mark.now, state_);
+        if (hasSaved_ && state_ == savedState_)
+            return true;
+        if (!hasSaved_ || mark.wave == saved_.wave + power_) {
+            savedState_.swap(state_);
+            saved_ = mark;
+            hasSaved_ = true;
+            power_ *= 2;
+        }
+        return false;
+    }
+
+    const WaveMark &saved() const { return saved_; }
+
+  private:
+    std::vector<std::int64_t> state_;
+    std::vector<std::int64_t> savedState_;
+    WaveMark saved_;
+    bool hasSaved_ = false;
+    std::int64_t power_ = 1;
+};
+
 /**
  * The DMA transfer loop over `count` chunks, read through `chunk_at(i)`
- * so a stream never materializes its bursts.
+ * at nondecreasing `i`, so neither a stream nor a run-length list
+ * materializes its chunks. With `kStream`, every chunk but the last is
+ * one full burst and none is pointer-chased, and the loop replays whole
+ * periods of waves once they repeat (see simulateStream).
  */
-template <typename ChunkAt>
+template <bool kStream, typename ChunkAt>
 TransferResult
-transfer(const DmaConfig &dma, DramModel &dram, std::size_t count,
-         ChunkAt chunk_at, std::int64_t start_cycle)
+transfer(const DmaConfig &dma, DramModel &dram, std::int64_t count,
+         ChunkAt &&chunk_at, std::int64_t start_cycle)
 {
     require(dma.reqsPerCycle >= 1,
             "DmaConfig::reqsPerCycle must be at least 1");
@@ -78,11 +145,11 @@ transfer(const DmaConfig &dma, DramModel &dram, std::size_t count,
     // the front is always the earliest arrival.
     struct PendingData
     {
-        std::int64_t readyAt;
-        std::int64_t bytes;
+        std::int64_t readyAt = 0;
+        std::int64_t bytes = 0;
     };
-    std::deque<PendingData> pending;
-    std::size_t next_chunk = 0;
+    RingFifo<PendingData> pending(dma.pointerContexts);
+    std::int64_t next_chunk = 0;
     std::int64_t last_completion = start_cycle;
 
     auto all_done = [&]() {
@@ -94,18 +161,51 @@ transfer(const DmaConfig &dma, DramModel &dram, std::size_t count,
     // accepts) expires the budget with its queue state instead of
     // spinning forever.
     util::WatchdogBatcher dog;
+    auto dump = [&]() {
+        return "dram transfer at cycle " + std::to_string(now) +
+               ", chunk " + std::to_string(next_chunk) + "/" +
+               std::to_string(count) + ", " +
+               std::to_string(pending.size()) +
+               " pointer loads pending, " +
+               std::to_string(dram.outstanding(now)) +
+               " requests outstanding";
+    };
+    [[maybe_unused]] WavePeriod period;
+    [[maybe_unused]] bool searching = kStream;
+    [[maybe_unused]] std::int64_t wave = 0;
     while (!all_done()) {
+        if constexpr (kStream) {
+            const WaveMark mark{wave, now, next_chunk, result.bytes};
+            if (searching && period.repeats(dram, mark)) {
+                searching = false;
+                // Replay k whole periods, keeping one period plus the
+                // last chunk to run and staying within the step budget.
+                // A stream issues one request per chunk.
+                const WaveMark &from = period.saved();
+                const std::int64_t waves = mark.wave - from.wave;
+                const std::int64_t chunks = mark.chunk - from.chunk;
+                std::int64_t k = 0;
+                if (chunks > 0 && !util::fault::armed())
+                    k = std::min((count - 1 - next_chunk) / chunks - 1,
+                                 dog.allowance() / waves);
+                if (k > 0) {
+                    const std::int64_t cycles = k * (now - from.now);
+                    const std::int64_t bytes = k * (mark.bytes - from.bytes);
+                    dram.shift(now, cycles, bytes);
+                    now += cycles;
+                    last_completion += cycles;
+                    next_chunk += k * chunks;
+                    result.requests += k * chunks;
+                    result.bytes += bytes;
+                    wave += k * waves;
+                    dog.charge(k * waves, dump);
+                }
+            }
+            wave++;
+        }
         if (util::fault::armed())
             util::fault::checkpoint("sim.dram.wave");
-        dog.step([&]() {
-            return "dram transfer at cycle " + std::to_string(now) +
-                   ", chunk " + std::to_string(next_chunk) + "/" +
-                   std::to_string(count) + ", " +
-                   std::to_string(pending.size()) +
-                   " pointer loads pending, " +
-                   std::to_string(dram.outstanding(now)) +
-                   " requests outstanding";
-        });
+        dog.step(dump);
         int issued_this_cycle = 0;
         bool stalled_on_pointer = false;
         while (issued_this_cycle < dma.reqsPerCycle) {
@@ -192,23 +292,50 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
                                  }),
             "DmaConfig::pointerContexts must be at least 1 for a "
             "pointer-chased transfer");
-    return transfer(
-            dma, dram, chunks.size(),
-            [&](std::size_t i) { return chunks[i]; }, start_cycle);
+    return transfer<false>(
+            dma, dram, std::int64_t(chunks.size()),
+            [&](std::int64_t i) { return chunks[std::size_t(i)]; },
+            start_cycle);
+}
+
+TransferResult
+simulateTransfer(const DmaConfig &dma, DramModel &dram,
+                 const std::vector<TransferRun> &runs,
+                 std::int64_t start_cycle)
+{
+    std::int64_t count = 0;
+    bool chased = false;
+    for (const auto &run : runs) {
+        require(run.count >= 0, "TransferRun::count must not be negative");
+        count += run.count;
+        chased = chased || (run.count > 0 && run.chunk.pointerChased);
+    }
+    require(dma.pointerContexts >= 1 || !chased,
+            "DmaConfig::pointerContexts must be at least 1 for a "
+            "pointer-chased transfer");
+    // Chunk i lies in the run ending first past i; reads only move
+    // forward, so one cursor walks the runs.
+    std::size_t run = 0;
+    std::int64_t run_end = 0;
+    auto chunk_at = [&](std::int64_t i) {
+        while (i >= run_end)
+            run_end += runs[run++].count;
+        return runs[run - 1].chunk;
+    };
+    return transfer<false>(dma, dram, count, chunk_at, start_cycle);
 }
 
 TransferResult
 simulateStream(const DmaConfig &dma, DramModel &dram, std::int64_t bytes,
                std::int64_t start_cycle)
 {
-    // DRAM-burst-sized chunks; the last one carries the remainder.
     const std::int64_t burst = dram.config().minBurstBytes;
     require(burst > 0, "a streamed transfer needs a positive burst size");
-    auto chunk_at = [&](std::size_t i) {
-        return TransferChunk{std::min(burst, bytes - std::int64_t(i) * burst)};
+    auto chunk_at = [&](std::int64_t i) {
+        return TransferChunk{std::min(burst, bytes - i * burst)};
     };
     const std::int64_t bursts = bytes > 0 ? (bytes + burst - 1) / burst : 0;
-    return transfer(dma, dram, std::size_t(bursts), chunk_at, start_cycle);
+    return transfer<true>(dma, dram, bursts, chunk_at, start_cycle);
 }
 
 } // namespace stellar::sim

@@ -29,8 +29,11 @@ simulateOuterSpace(const OuterSpaceConfig &config,
             "OuterSpaceConfig::workGroups must be at least 1");
     require(config.mergeLanes >= 1,
             "OuterSpaceConfig::mergeLanes must be at least 1");
+    // C = A * A: the column loop below counts A's multiplies as
+    // sum_k colNnz(k) * rowNnz(k), the same integer spgemmMultiplies
+    // counts row by row.
+    require(a.rows() == a.cols(), "SpGEMM shape mismatch");
     OuterSpaceResult result;
-    result.multiplies = sparse::spgemmMultiplies(a, a);
 
     // Column nonzero counts of A (the CSC view used by the outer product).
     std::vector<std::int64_t> col_nnz(std::size_t(a.cols()), 0);
@@ -38,20 +41,20 @@ simulateOuterSpace(const OuterSpaceConfig &config,
         col_nnz[std::size_t(c)]++;
 
     // Every nonzero A(i, k) produces one partial-sum fiber of length
-    // rowNnz(k), stored as a scattered vector reached through a pointer.
+    // rowNnz(k), stored as a scattered vector reached through a pointer:
+    // column k scatters one run of colNnz(k) equal chunks.
     const std::int64_t elem_bytes = 12; // 8B value + 4B coordinate
-    std::vector<TransferChunk> scatter;
-    scatter.reserve(std::size_t(a.nnz()));
+    std::vector<TransferRun> scatter;
+    std::int64_t fibers = 0;
     for (std::int64_t k = 0; k < a.cols(); k++) {
-        std::int64_t fiber_len = a.rowNnz(std::min(k, a.rows() - 1));
-        if (fiber_len == 0 || col_nnz[std::size_t(k)] == 0)
+        const std::int64_t fiber_len = a.rowNnz(k);
+        const std::int64_t count = col_nnz[std::size_t(k)];
+        if (fiber_len == 0 || count == 0)
             continue;
-        for (std::int64_t f = 0; f < col_nnz[std::size_t(k)]; f++) {
-            TransferChunk chunk;
-            chunk.bytes = fiber_len * elem_bytes;
-            chunk.pointerChased = true;
-            scatter.push_back(chunk);
-        }
+        scatter.push_back(
+                TransferRun{TransferChunk{fiber_len * elem_bytes, true},
+                            count});
+        fibers += count;
     }
 
     // ---- Multiply phase ----
@@ -68,22 +71,27 @@ simulateOuterSpace(const OuterSpaceConfig &config,
     // across the PE groups; imbalanced columns strand groups unless the
     // Listing 3-style balancer shifts work between waves (Fig 6).
     std::vector<std::int64_t> column_work;
-    util::WatchdogBatcher dog; // one step per outer-product column
-    for (std::int64_t k = 0; k < a.cols(); k++) {
-        if (util::fault::armed())
-            util::fault::checkpoint("sim.outerspace.column");
-        dog.step([&]() {
-            return "outerspace column " + std::to_string(k) + "/" +
-                   std::to_string(a.cols()) + ", " +
-                   std::to_string(scatter.size()) +
-                   " scattered fibers queued";
-        });
-        std::int64_t products =
-                col_nnz[std::size_t(k)] * a.rowNnz(std::min(k, a.rows() - 1));
-        if (products > 0)
-            column_work.push_back(
-                    (products + config.multipliers / config.workGroups - 1) /
-                    std::max(config.multipliers / config.workGroups, 1));
+    const int per_group = config.multipliers / config.workGroups;
+    {
+        // A batcher holds pre-charged steps until it is destroyed, so it
+        // must end before the streams below charge, or they would expire
+        // early by its unspent batch.
+        util::WatchdogBatcher dog; // one step per outer-product column
+        for (std::int64_t k = 0; k < a.cols(); k++) {
+            if (util::fault::armed())
+                util::fault::checkpoint("sim.outerspace.column");
+            dog.step([&]() {
+                return "outerspace column " + std::to_string(k) + "/" +
+                       std::to_string(a.cols()) + ", " +
+                       std::to_string(fibers) + " scattered fibers queued";
+            });
+            const std::int64_t products =
+                    col_nnz[std::size_t(k)] * a.rowNnz(k);
+            result.multiplies += products;
+            if (products > 0)
+                column_work.push_back((products + per_group - 1) /
+                                      std::max(per_group, 1));
+        }
     }
     auto balance = simulateRowWaves(column_work, config.workGroups,
                                     config.loadBalanced);
@@ -91,13 +99,13 @@ simulateOuterSpace(const OuterSpaceConfig &config,
     result.balancerShifts = balance.shiftsApplied;
     result.multiplyUtilization = balance.utilization;
     result.multiplyPhaseCycles = std::max(multiply_mem, multiply_compute);
-    result.pointerRequests += std::int64_t(scatter.size());
+    result.pointerRequests += fibers;
     result.pointerStallCycles += scatter_out.pointerStallCycles;
     result.dramBytes += multiply_dram.bytesTransferred();
 
     // ---- Merge phase ----
     // Gather the scattered partial vectors back (pointer-chased reads).
-    // The gather is the scatter's chunk list on an idle DRAM, and the
+    // The gather is the scatter's chunks on an idle DRAM, and the
     // scatter ran on an idle DRAM too: it starts at the A stream's
     // `cycles`, which is at or after every completion the stream issued
     // (latency >= 0 puts the bandwidth cursor at or before the last
@@ -121,7 +129,7 @@ simulateOuterSpace(const OuterSpaceConfig &config,
     std::int64_t merge_compute = std::int64_t(
             1.2 * double(result.multiplies) / double(config.mergeLanes));
     result.mergePhaseCycles = std::max(merge_mem, merge_compute);
-    result.pointerRequests += std::int64_t(scatter.size());
+    result.pointerRequests += fibers;
     result.pointerStallCycles += gather.pointerStallCycles;
     result.dramBytes += gather.bytes + merge_dram.bytesTransferred();
 

@@ -33,23 +33,27 @@ simulateSystolicMatmul(const SystolicConfig &config, std::int64_t m,
             config.stellarGenerated ? config.stellarTileOverhead
                                     : config.handwrittenTileOverhead;
     std::int64_t compute = 0;
-    util::WatchdogBatcher dog; // one step per weight tile, batched
-    for (std::int64_t tk = 0; tk < tiles_k; tk++) {
-        for (std::int64_t tn = 0; tn < tiles_n; tn++) {
-            if (util::fault::armed())
-                util::fault::checkpoint("sim.systolic.tile");
-            dog.step([&]() {
-                return "systolic tile (" + std::to_string(tk) + ", " +
-                       std::to_string(tn) + ") of " +
-                       std::to_string(tiles_k) + "x" +
-                       std::to_string(tiles_n);
-            });
-            std::int64_t rows_streamed = m;
-            std::int64_t fill_drain = config.rows + config.cols;
-            std::int64_t preload =
-                    config.stellarGenerated ? config.rows / 2 : 0;
-            compute += rows_streamed + fill_drain + preload +
-                       per_tile_overhead * tiles_m;
+    {
+        // Scoped so its unspent batch is refunded before the stream
+        // below charges (see simulateOuterSpace).
+        util::WatchdogBatcher dog; // one step per weight tile, batched
+        for (std::int64_t tk = 0; tk < tiles_k; tk++) {
+            for (std::int64_t tn = 0; tn < tiles_n; tn++) {
+                if (util::fault::armed())
+                    util::fault::checkpoint("sim.systolic.tile");
+                dog.step([&]() {
+                    return "systolic tile (" + std::to_string(tk) + ", " +
+                           std::to_string(tn) + ") of " +
+                           std::to_string(tiles_k) + "x" +
+                           std::to_string(tiles_n);
+                });
+                std::int64_t rows_streamed = m;
+                std::int64_t fill_drain = config.rows + config.cols;
+                std::int64_t preload =
+                        config.stellarGenerated ? config.rows / 2 : 0;
+                compute += rows_streamed + fill_drain + preload +
+                           per_tile_overhead * tiles_m;
+            }
         }
     }
     result.computeCycles = compute;

@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -297,6 +298,41 @@ class WatchdogBatcher
         if (credit_ == 0)
             refill(std::forward<DumpFn>(dump));
         --credit_;
+    }
+
+    /**
+     * Units step() can still charge before the step budget expires;
+     * the int64 maximum with no watchdog or no step budget.
+     */
+    std::int64_t
+    allowance() const
+    {
+        if (dog_ == nullptr || !dog_->enabled())
+            return std::numeric_limits<std::int64_t>::max();
+        return credit_ + dog_->remaining();
+    }
+
+    /**
+     * Charge `n` units at once, for a loop that accounts for many
+     * units of work without running them one by one. `n` must be at
+     * most allowance(), so this never expires the budget: the units
+     * stay charged exactly as `n` step() calls would leave them, and
+     * the expiring unit, if any, is still charged alone by step(). The
+     * wall-clock deadline is checked whenever this draws on the
+     * watchdog.
+     */
+    template <typename DumpFn>
+    void
+    charge(std::int64_t n, DumpFn &&dump)
+    {
+        if (dog_ == nullptr)
+            return;
+        const std::int64_t from_credit = std::min(n, credit_);
+        credit_ -= from_credit;
+        if (n > from_credit) {
+            dog_->checkDeadline(dump);
+            dog_->tick(n - from_credit, std::forward<DumpFn>(dump));
+        }
     }
 
   private:

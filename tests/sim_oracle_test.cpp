@@ -3,7 +3,8 @@
  * Differential oracles for the simulator hot paths.
  *
  * The DMA transfer loop keeps its in-flight and pending-pointer queues as
- * FIFOs and reads streamed bursts through an accessor; the merger walks
+ * ring FIFOs, reads streamed bursts through an accessor and replays a
+ * stream's repeating waves whole periods at a time; the merger walks
  * each pair's sorted rowIds and coordinates once, into flat buffers;
  * OuterSPACE reuses its scatter's transfer for the gather. Each rests on
  * an ordering or shift-invariance argument, so the map-, scan- and
@@ -267,32 +268,162 @@ TEST(TransferOracle, FifoQueuesMatchScanAndHeapOnRandomChunks)
     EXPECT_EQ(transfers, 4 * 4 * 6 * 3);
 }
 
+/** A DRAM config drawn from ranges that cover every field's edges. */
+DramConfig
+randomDram(Rng &rng)
+{
+    DramConfig config;
+    config.latency = rng.nextRange(0, 200);
+    config.bytesPerCycle = rng.nextRange(1, 64);
+    config.maxOutstanding = rng.nextRange(1, 96);
+    config.minBurstBytes = rng.nextRange(1, 128);
+    return config;
+}
+
+/**
+ * simulateStream against the same bursts spelled out as chunks, through
+ * simulateTransfer and through the heap-and-scan oracle: the results,
+ * and the DRAM each leaves behind. The DRAMs are compared by their
+ * cursor, bytes and in-flight counts after the stream, and then by a
+ * second transfer issued into the stream's tail, which sees every
+ * completion still in flight.
+ */
+void
+expectStreamMatchesChunks(const DmaConfig &dma, const DramConfig &config,
+                          std::int64_t bytes, std::int64_t start, Rng &rng)
+{
+    const auto chunks = streamChunks(bytes, config.minBurstBytes);
+    DramModel streamed(config), explicit_chunks(config);
+    OracleDram oracle(config);
+    auto got = simulateStream(dma, streamed, bytes, start);
+    auto via_chunks = simulateTransfer(dma, explicit_chunks, chunks, start);
+    auto want = oracleTransfer(dma, oracle, chunks, start);
+    expectSameTransfer(got, via_chunks);
+    expectSameTransfer(got, want);
+    EXPECT_EQ(got.requests, std::int64_t(chunks.size()));
+    EXPECT_EQ(streamed.bandwidthCursor(), oracle.bandwidthCursor());
+    EXPECT_EQ(streamed.bytesTransferred(), oracle.bytesTransferred());
+
+    // Both models drop completions as the asked cycle passes them, so
+    // the tail runs on copies and the counts are asked in cycle order.
+    DramModel streamed_tail = streamed;
+    OracleDram oracle_tail = oracle;
+    const std::int64_t end = start + want.cycles;
+    std::vector<std::int64_t> cycles = {start, (start + end) / 2,
+                                        end - config.latency, end - 1, end};
+    std::sort(cycles.begin(), cycles.end());
+    for (std::int64_t at : cycles) {
+        EXPECT_EQ(streamed.outstanding(at), oracle.outstanding(at))
+                << "at cycle " << at;
+    }
+    const auto tail = randomChunks(rng, 0.3);
+    const std::int64_t tail_start =
+            std::max(start, end - rng.nextRange(0, config.latency + 64));
+    expectSameTransfer(
+            simulateTransfer(dma, streamed_tail, tail, tail_start),
+            oracleTransfer(dma, oracle_tail, tail, tail_start));
+    EXPECT_EQ(streamed_tail.bandwidthCursor(), oracle_tail.bandwidthCursor());
+    EXPECT_EQ(streamed_tail.bytesTransferred(),
+              oracle_tail.bytesTransferred());
+}
+
 TEST(TransferOracle, StreamEqualsExplicitBurstChunks)
 {
+    Rng rng(26);
     for (int rate : {1, 16}) {
         const DmaConfig dma = DmaConfig::withRate(rate);
         for (std::int64_t bytes :
                 {std::int64_t(0), std::int64_t(1), std::int64_t(63),
                  std::int64_t(64), std::int64_t(65),
                  std::int64_t(1000007)}) {
-            SCOPED_TRACE("rate " + std::to_string(rate) + ", " +
-                         std::to_string(bytes) + " bytes");
-            const DramConfig config;
-            const auto chunks = streamChunks(bytes, config.minBurstBytes);
             for (std::int64_t start : {std::int64_t(0), std::int64_t(777)}) {
-                DramModel streamed(config), explicit_chunks(config);
-                OracleDram oracle(config);
-                auto got = simulateStream(dma, streamed, bytes, start);
-                auto via_chunks =
-                        simulateTransfer(dma, explicit_chunks, chunks, start);
-                auto want = oracleTransfer(dma, oracle, chunks, start);
-                expectSameTransfer(got, via_chunks);
-                expectSameTransfer(got, want);
-                EXPECT_EQ(streamed.bandwidthCursor(),
-                          oracle.bandwidthCursor());
-                EXPECT_EQ(got.requests, std::int64_t(chunks.size()));
+                SCOPED_TRACE("rate " + std::to_string(rate) + ", " +
+                             std::to_string(bytes) + " bytes from " +
+                             std::to_string(start));
+                expectStreamMatchesChunks(dma, DramConfig(), bytes, start,
+                                          rng);
             }
         }
+    }
+}
+
+TEST(TransferOracle, StreamEqualsExplicitBurstChunksOnRandomDrams)
+{
+    // The stream replays whole periods once the DRAM's relative state
+    // repeats; the oracle steps every wave. Streams up to 300 kB in
+    // bursts of 1-128 B run from a few waves to tens of thousands, so
+    // the grid covers streams too short to replay, transients and
+    // periods of every length, and the last short burst.
+    Rng rng(2026);
+    for (int trial = 0; trial < 400; trial++) {
+        const DmaConfig dma = DmaConfig::withRate(int(rng.nextRange(1, 16)));
+        const DramConfig config = randomDram(rng);
+        const std::int64_t bytes = rng.nextBool(0.1)
+                                           ? rng.nextRange(0, 300)
+                                           : rng.nextRange(0, 300000);
+        const std::int64_t start = rng.nextBool(0.5) ? 0 : 777;
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": rate " +
+                     std::to_string(dma.reqsPerCycle) + ", latency " +
+                     std::to_string(config.latency) + ", " +
+                     std::to_string(config.bytesPerCycle) +
+                     " B/cycle, cap " +
+                     std::to_string(config.maxOutstanding) + ", burst " +
+                     std::to_string(config.minBurstBytes) + ", " +
+                     std::to_string(bytes) + " bytes from " +
+                     std::to_string(start));
+        expectStreamMatchesChunks(dma, config, bytes, start, rng);
+    }
+}
+
+TEST(TransferOracle, StreamOnABusyDramEqualsExplicitBurstChunks)
+{
+    // A stream issued into another transfer's tail starts with requests
+    // in flight and bandwidth taken; its waves repeat only once those
+    // drain.
+    Rng rng(77);
+    for (int trial = 0; trial < 60; trial++) {
+        const DmaConfig dma = DmaConfig::withRate(int(rng.nextRange(1, 16)));
+        const DramConfig config = randomDram(rng);
+        DramModel dram(config);
+        OracleDram oracle(config);
+        const auto head = randomChunks(rng, 0.5);
+        const auto first = oracleTransfer(dma, oracle, head, 0);
+        simulateTransfer(dma, dram, head, 0);
+        const std::int64_t start = rng.nextRange(0, first.cycles);
+        const std::int64_t bytes = rng.nextRange(0, 200000);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const auto want = oracleTransfer(
+                dma, oracle, streamChunks(bytes, config.minBurstBytes),
+                start);
+        expectSameTransfer(simulateStream(dma, dram, bytes, start), want);
+        EXPECT_EQ(dram.bandwidthCursor(), oracle.bandwidthCursor());
+        EXPECT_EQ(dram.bytesTransferred(), oracle.bytesTransferred());
+        const std::int64_t last = start + want.cycles - 1;
+        EXPECT_EQ(dram.outstanding(last), oracle.outstanding(last));
+    }
+}
+
+TEST(TransferOracle, RunsEqualSpelledOutChunks)
+{
+    Rng rng(31);
+    for (int trial = 0; trial < 40; trial++) {
+        const DmaConfig dma = DmaConfig::withRate(int(rng.nextRange(1, 16)));
+        const DramConfig config = randomDram(rng);
+        std::vector<TransferRun> runs(std::size_t(rng.nextRange(0, 40)));
+        std::vector<TransferChunk> chunks;
+        for (auto &run : runs) {
+            run.chunk.bytes = rng.nextRange(1, 2000);
+            run.chunk.pointerChased = rng.nextBool(0.6);
+            run.count = rng.nextBool(0.2) ? 0 : rng.nextRange(1, 30);
+            chunks.insert(chunks.end(), std::size_t(run.count), run.chunk);
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        DramModel by_runs(config), by_chunks(config);
+        const std::int64_t start = rng.nextRange(0, 1000);
+        expectSameTransfer(simulateTransfer(dma, by_runs, runs, start),
+                           simulateTransfer(dma, by_chunks, chunks, start));
+        EXPECT_EQ(by_runs.bandwidthCursor(), by_chunks.bandwidthCursor());
+        EXPECT_EQ(by_runs.bytesTransferred(), by_chunks.bytesTransferred());
     }
 }
 
@@ -685,7 +816,9 @@ TEST(MergerOracle, ErrorTextsArePinned)
 /**
  * simulateOuterSpace as it was while the merge phase simulated its
  * gather again on a DRAM of its own, instead of reusing the scatter's
- * TransferResult.
+ * TransferResult, while it scattered a chunk list and counted
+ * multiplies through spgemmMultiplies, and while its streams stepped
+ * every wave (they are spelled out as burst chunks here).
  */
 OuterSpaceResult
 oracleOuterSpace(const OuterSpaceConfig &config, const sparse::CsrMatrix &a)
@@ -719,7 +852,9 @@ oracleOuterSpace(const OuterSpaceConfig &config, const sparse::CsrMatrix &a)
     DramModel multiply_dram(config.dram);
     // Stream A in twice (CSC for the left operand, CSR for the right).
     std::int64_t a_bytes = a.nnz() * 12 + (a.rows() + 1) * 8;
-    auto a_read = simulateStream(config.dma, multiply_dram, 2 * a_bytes);
+    auto a_read = simulateTransfer(
+            config.dma, multiply_dram,
+            streamChunks(2 * a_bytes, config.dram.minBurstBytes));
     // Scatter the partial vectors out (pointer-chased writes).
     auto scatter_out =
             simulateTransfer(config.dma, multiply_dram, scatter,
@@ -753,9 +888,11 @@ oracleOuterSpace(const OuterSpaceConfig &config, const sparse::CsrMatrix &a)
     auto gather = simulateTransfer(config.dma, merge_dram, scatter);
     // Write the final merged matrix out as a stream. Use the partial
     // element count as an upper bound on the result size.
-    auto write_out = simulateStream(config.dma, merge_dram,
-                                    result.multiplies * elem_bytes,
-                                    gather.cycles);
+    auto write_out = simulateTransfer(
+            config.dma, merge_dram,
+            streamChunks(result.multiplies * elem_bytes,
+                         config.dram.minBurstBytes),
+            gather.cycles);
     std::int64_t merge_mem = gather.cycles + write_out.cycles;
     // Merge lanes consume one element per lane per cycle; imbalanced
     // fibers leave some lanes idle (~20% on the matrices studied).

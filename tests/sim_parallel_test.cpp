@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ios>
 #include <sstream>
@@ -386,6 +387,151 @@ TEST(WatchdogBatching, DramExpiryMatchesPerStep)
         sim::DramModel dram((sim::DramConfig()));
         sim::simulateStream(sim::DmaConfig(), dram, 1 << 20);
     });
+}
+
+/** Steps `fn` charges when it runs to completion. */
+template <typename Fn>
+std::int64_t
+stepsOf(Fn &&fn)
+{
+    util::WatchdogScope scope("sim", 0);
+    fn();
+    return scope.watchdog().stepsExecuted();
+}
+
+/** The bursts simulateStream moves, spelled out as chunks. */
+std::vector<sim::TransferChunk>
+burstChunks(std::int64_t bytes, std::int64_t burst)
+{
+    std::vector<sim::TransferChunk> chunks;
+    for (std::int64_t off = 0; off < bytes; off += burst)
+        chunks.push_back(sim::TransferChunk{std::min(burst, bytes - off)});
+    return chunks;
+}
+
+/**
+ * A 1 MB stream replays most of its waves whole periods at a time; the
+ * same bursts as a chunk list step every wave. Their step counts and
+ * their expiries must agree at budgets before the first replayed wave
+ * (8), inside the replayed region (half), and in the waves kept after
+ * it (the last three), at both DMA rates.
+ */
+TEST(WatchdogBatching, StreamExpiryMatchesThePerWaveLoop)
+{
+    const sim::DramConfig config;
+    const std::int64_t bytes = 1 << 20;
+    const auto chunks = burstChunks(bytes, config.minBurstBytes);
+    for (int rate : {1, 16}) {
+        SCOPED_TRACE("rate " + std::to_string(rate));
+        const auto dma = sim::DmaConfig::withRate(rate);
+        auto stream = [&]() {
+            sim::DramModel dram(config);
+            sim::simulateStream(dma, dram, bytes);
+        };
+        auto per_wave = [&]() {
+            sim::DramModel dram(config);
+            sim::simulateTransfer(dma, dram, chunks);
+        };
+        const std::int64_t waves = stepsOf(per_wave);
+        ASSERT_GT(waves, 2000);
+        EXPECT_EQ(stepsOf(stream), waves);
+        for (std::int64_t budget :
+                {std::int64_t(8), waves / 2, waves - 3, waves - 1}) {
+            SCOPED_TRACE("budget " + std::to_string(budget));
+            expectBatchingExact(budget, stream);
+            EXPECT_EQ(expiryAt(budget, 0, stream),
+                      expiryAt(budget, 0, per_wave));
+        }
+        EXPECT_FALSE(expiryAt(waves, 0, stream).hit);
+    }
+}
+
+/**
+ * While an injection is armed the stream replays nothing, so the
+ * sim.dram.wave checkpoint fires once per wave, past the transient
+ * included, and a budget inside the would-be-replayed region still
+ * expires where the per-wave loop does.
+ */
+TEST(WatchdogBatching, ArmedWaveCheckpointFiresAtEveryWave)
+{
+    const sim::DramConfig config;
+    const std::int64_t bytes = 1 << 20;
+    const auto chunks = burstChunks(bytes, config.minBurstBytes);
+    const auto dma = sim::DmaConfig::withRate(16);
+    auto stream = [&]() {
+        sim::DramModel dram(config);
+        sim::simulateStream(dma, dram, bytes);
+    };
+    auto per_wave = [&]() {
+        sim::DramModel dram(config);
+        sim::simulateTransfer(dma, dram, chunks);
+    };
+    const std::int64_t waves = stepsOf(per_wave);
+
+    util::fault::InjectionSpec spec;
+    spec.stage = "sim.dram.wave";
+    spec.cls = util::fault::FaultClass::Stall;
+    spec.stallMicros = 0;
+    spec.allContexts = true;
+    util::fault::ScopedArm arm(spec);
+    const std::uint64_t before = util::fault::firedCount();
+    EXPECT_EQ(stepsOf(stream), waves);
+    EXPECT_EQ(util::fault::firedCount() - before, std::uint64_t(waves));
+
+    const std::int64_t budget = waves / 2;
+    const std::uint64_t at_expiry = util::fault::firedCount();
+    const Expiry expiry = expiryAt(budget, 0, stream);
+    EXPECT_TRUE(expiry.hit);
+    EXPECT_EQ(util::fault::firedCount() - at_expiry,
+              std::uint64_t(budget + 1));
+    EXPECT_EQ(expiry, expiryAt(budget, 0, per_wave));
+}
+
+/**
+ * A loop's batcher must release its unspent batch before a later loop
+ * of the same simulation charges: OuterSPACE's column loop precedes
+ * its write-out stream, and the systolic tile loop precedes its DRAM
+ * stream. Budgets three steps short of the whole run land in those
+ * streams.
+ */
+TEST(WatchdogBatching, ExpiryAfterAnEarlierLoopMatchesPerStep)
+{
+    auto matrix = sparse::synthesize(
+            sparse::scaleProfile(sparse::profileByName("wiki-Vote"),
+                                 5000), 1);
+    auto outerspace = [&]() {
+        sim::simulateOuterSpace(sim::OuterSpaceConfig(), matrix);
+    };
+    expectBatchingExact(stepsOf(outerspace) - 3, outerspace);
+
+    sim::SystolicConfig config;
+    auto systolic = [&]() {
+        sim::simulateSystolicMatmul(config, 64, 256, 256);
+    };
+    expectBatchingExact(stepsOf(systolic) - 3, systolic);
+}
+
+/**
+ * The step counts `stellar_cli sim --workload outerspace` charges: one
+ * per DRAM wave, replayed stream periods included, and one per
+ * outer-product column. CI pins the largest end to end through
+ * --step-budget; docs/PERF.md records both.
+ */
+TEST(WatchdogBatching, OuterSpaceSuiteStepCountsArePinned)
+{
+    sim::OuterSpaceConfig config;
+    config.dma = sim::DmaConfig::withRate(16);
+    std::int64_t total = 0, largest = 0;
+    for (const auto &profile : sparse::outerSpaceSuite()) {
+        const auto matrix = sparse::synthesize(
+                sparse::scaleProfile(profile, 60000), 1);
+        const std::int64_t steps = stepsOf(
+                [&]() { sim::simulateOuterSpace(config, matrix); });
+        total += steps;
+        largest = std::max(largest, steps);
+    }
+    EXPECT_EQ(total, 2224171);
+    EXPECT_EQ(largest, 173606);
 }
 
 TEST(WatchdogBatching, RefundKeepsStepAccountingExact)

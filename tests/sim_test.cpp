@@ -10,6 +10,7 @@
 
 #include <climits>
 #include <string>
+#include <vector>
 
 #include "sim/balance.hpp"
 #include "sim/dram.hpp"
@@ -61,6 +62,28 @@ TEST(DramModel, OutstandingCap)
     dram.issue(0, 64);
     EXPECT_FALSE(dram.canAccept(0));
     EXPECT_TRUE(dram.canAccept(10000));
+}
+
+TEST(DramModel, IssuingPastTheCapGrowsTheInFlightRing)
+{
+    // The in-flight ring is sized at the cap. A caller that issues past
+    // it, with the ring's head partway round, still sees every
+    // completion, in order.
+    DramConfig config;
+    config.latency = 10;
+    config.bytesPerCycle = 64;
+    config.maxOutstanding = 3;
+    DramModel dram(config);
+    std::vector<std::int64_t> done;
+    for (int i = 0; i < 3; i++)
+        done.push_back(dram.issue(0, 64));
+    EXPECT_EQ(dram.outstanding(done[1]), 1);
+    for (int i = 0; i < 9; i++)
+        done.push_back(dram.issue(done[1], 64));
+    EXPECT_EQ(dram.outstanding(done[1]), 10);
+    for (std::size_t i = 2; i < done.size(); i++)
+        EXPECT_EQ(dram.outstanding(done[i]),
+                  std::int64_t(done.size() - i - 1));
 }
 
 TEST(DramModel, CompletionsStrictlyIncrease)
