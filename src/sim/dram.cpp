@@ -20,24 +20,49 @@ DramModel::DramModel(DramConfig config)
             "DramConfig::maxOutstanding must be at least 1");
 }
 
-std::int64_t
-DramModel::outstanding(std::int64_t now) const
+std::size_t
+DramModel::firstAfter(std::int64_t now) const
+{
+    // Completions ascend, so those after `now` are a suffix of the ring.
+    std::size_t lo = 0, hi = inflight_.size();
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (inflight_[mid] <= now)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+void
+DramModel::retire(std::int64_t now)
 {
     while (!inflight_.empty() && inflight_.front() <= now)
         inflight_.pop_front();
-    return std::int64_t(inflight_.size());
+}
+
+std::int64_t
+DramModel::outstanding(std::int64_t now) const
+{
+    return std::int64_t(inflight_.size() - firstAfter(now));
 }
 
 bool
 DramModel::canAccept(std::int64_t now) const
 {
-    return outstanding(now) < config_.maxOutstanding;
+    // Fewer than maxOutstanding completions lie after `now` exactly when
+    // the maxOutstanding-th from the back does not.
+    const std::size_t size = inflight_.size();
+    const auto cap = std::size_t(config_.maxOutstanding);
+    return size < cap || inflight_[size - cap] <= now;
 }
 
 std::int64_t
 DramModel::issue(std::int64_t now, std::int64_t bytes)
 {
     require(bytes > 0, "DRAM request must move at least one byte");
+    retire(now);
     std::int64_t charged = std::max(bytes, config_.minBurstBytes);
     std::int64_t start = std::max(now, bwCursor_);
     std::int64_t occupancy =
@@ -60,17 +85,16 @@ void
 DramModel::relativeState(std::int64_t now,
                          std::vector<std::int64_t> &out) const
 {
-    outstanding(now);
     out.clear();
     out.push_back(std::max<std::int64_t>(bwCursor_ - now, 0));
-    for (std::size_t i = 0; i < inflight_.size(); i++)
+    for (std::size_t i = firstAfter(now); i < inflight_.size(); i++)
         out.push_back(inflight_[i] - now);
 }
 
 void
 DramModel::shift(std::int64_t now, std::int64_t cycles, std::int64_t bytes)
 {
-    outstanding(now);
+    retire(now);
     for (std::size_t i = 0; i < inflight_.size(); i++)
         inflight_[i] += cycles;
     bwCursor_ += cycles;

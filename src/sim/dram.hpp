@@ -105,14 +105,20 @@ class DramModel
 
     const DramConfig &config() const { return config_; }
 
-    /** Requests still in flight at the given cycle. */
+    /**
+     * Requests still in flight at the given cycle: the completions
+     * after `now`. A pure count, exact for any `now` at or after the
+     * latest `issue` cycle, asked in any order.
+     */
     std::int64_t outstanding(std::int64_t now) const;
 
     bool canAccept(std::int64_t now) const;
 
     /**
      * Issue a request at cycle `now`; returns its completion cycle.
-     * Bandwidth is charged for at least one burst.
+     * Bandwidth is charged for at least one burst. Completions at or
+     * before `now` retire, so no later query may ask about an earlier
+     * cycle.
      */
     std::int64_t issue(std::int64_t now, std::int64_t bytes);
 
@@ -152,11 +158,17 @@ class DramModel
     void shift(std::int64_t now, std::int64_t cycles, std::int64_t bytes);
 
   private:
+    /** The index of the first completion in flight after `now`. */
+    std::size_t firstAfter(std::int64_t now) const;
+
+    /** Drop the completions at or before `now`. */
+    void retire(std::int64_t now);
+
     DramConfig config_;
     std::int64_t bwCursor_ = 0;
     std::int64_t bytesTransferred_ = 0;
     /** Completion cycles in issue order, which is ascending order. */
-    mutable RingFifo<std::int64_t> inflight_;
+    RingFifo<std::int64_t> inflight_;
 };
 
 /** DMA issue-rate configuration. The DMA keeps no in-flight cap of

@@ -16,11 +16,27 @@
  * A row both sides of a pair hold must have strictly increasing coords
  * on each side.
  *
- * The cycle models only count elements, so a merge walks coordinates
- * and never reads or sums a value. A config field the model divides by
- * or loops over (`lanes` for row-partitioned runs, `throughput` for
- * flattened and hierarchical ones) must be at least 1, or the run
- * raises a FatalError naming it.
+ * The cycle models read only how long each merged row of each merged
+ * pair is, so a schedule is counted, not merged: one pass groups the
+ * partials' fibers by row, and a coordinate that partials p' < p both
+ * hold is charged as one collision at tree level bit_width(p' ^ p),
+ * where their nodes first merge. A pair's merged row is its holders'
+ * fibers less the collisions at or below its level. No value is read.
+ *
+ * Defects raise where the round-by-round merge would meet them: a
+ * partial's first rowIds descent (or repeated row) at the first pair it
+ * takes part in, and an unsorted fiber at the first pair that merges
+ * its row with another partial's, never if no other partial holds the
+ * row. A hierarchical group raises at the partial that brings the
+ * defect in. When an input has several defects, the one raised is the
+ * first in (round, pair, row) order (for a hierarchical merge: partial,
+ * row), where a descent sorts at the row it follows and an unsorted row
+ * comes first on a tie. Within one pair that order can differ from the
+ * order a row-by-row merge would meet two defects in.
+ *
+ * A config field the model divides by or loops over (`lanes` for
+ * row-partitioned runs, `throughput` for flattened and hierarchical
+ * ones) must be at least 1, or the run raises a FatalError naming it.
  */
 
 #ifndef STELLAR_SIM_MERGER_HPP

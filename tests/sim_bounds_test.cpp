@@ -10,16 +10,26 @@
  * multiply phase cannot beat its multiplier count. The checks run on
  * the 18-matrix OuterSPACE suite at two scales, over the streams and
  * scatters the suite issues, at three DMA rates and four DRAMs.
+ *
+ * The mergers are held to a count they do not share: the structural
+ * nonzeros of A * A, the distinct (i, j) some A(i, k) A(k, j) reaches.
+ * A one-group merge tree merges exactly those (SpGEMM's own result
+ * drops cancelled zeros, so its nnz is only a lower bound), a pairwise
+ * schedule at least those, and no merger emits more elements per cycle
+ * than its throughput or lanes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "sim/dram.hpp"
+#include "sim/merger.hpp"
 #include "sim/outerspace.hpp"
+#include "sparse/spgemm.hpp"
 #include "sparse/suitesparse.hpp"
 #include "util/rng.hpp"
 
@@ -193,6 +203,56 @@ TEST(SimBounds, OuterSpaceSuiteAt1500Nnz)
 TEST(SimBounds, OuterSpaceSuiteAt6000Nnz)
 {
     expectSuiteBounds(6000);
+}
+
+/** The distinct (i, j) of A * A that some A(i, k) A(k, j) reaches. */
+std::int64_t
+structuralProductNnz(const sparse::CsrMatrix &a)
+{
+    std::set<std::pair<std::int64_t, std::int64_t>> reached;
+    for (std::int64_t i = 0; i < a.rows(); i++)
+        for (auto p = a.rowPtr()[std::size_t(i)];
+                p < a.rowPtr()[std::size_t(i + 1)]; p++) {
+            const std::int64_t k = a.colIdx()[std::size_t(p)];
+            for (auto q = a.rowPtr()[std::size_t(k)];
+                    q < a.rowPtr()[std::size_t(k + 1)]; q++)
+                reached.emplace(i, a.colIdx()[std::size_t(q)]);
+        }
+    return std::int64_t(reached.size());
+}
+
+TEST(SimBounds, MergersOnSuiteAt1500Nnz)
+{
+    std::vector<MergerConfig> configs(3);
+    configs[1].lanes = 1;
+    configs[1].throughput = 1;
+    configs[2].lanes = 5;
+    configs[2].throughput = 7;
+    configs[2].laneStartup = 0;
+    for (const auto &profile : sparse::outerSpaceSuite()) {
+        const auto a =
+                sparse::synthesize(sparse::scaleProfile(profile, 1500), 1);
+        const auto partials =
+                sparse::outerProductPartials(sparse::csrToCsc(a), a);
+        ASSERT_GE(partials.size(), 2u) << profile.name;
+        const std::int64_t nnz = structuralProductNnz(a);
+        EXPECT_GE(nnz, sparse::spgemmGustavson(a, a).nnz()) << profile.name;
+        for (std::size_t c = 0; c < configs.size(); c++) {
+            SCOPED_TRACE(profile.name + ", config " + std::to_string(c));
+            const MergerConfig &config = configs[c];
+            const auto tree = runHierarchicalMerge(config, partials,
+                                                   int(partials.size()));
+            EXPECT_EQ(tree.mergedElements, nnz);
+            const auto row = runMergeSchedule(
+                    config, MergerKind::RowPartitioned, partials);
+            const auto flat =
+                    runMergeSchedule(config, MergerKind::Flattened, partials);
+            EXPECT_GE(row.mergedElements, nnz);
+            EXPECT_EQ(flat.mergedElements, row.mergedElements);
+            EXPECT_GE(flat.cycles * config.throughput, flat.mergedElements);
+            EXPECT_GE(row.cycles * config.lanes, row.mergedElements);
+        }
+    }
 }
 
 TEST(SimBounds, StreamsOnRandomDrams)

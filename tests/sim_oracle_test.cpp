@@ -4,21 +4,27 @@
  *
  * The DMA transfer loop keeps its in-flight and pending-pointer queues as
  * ring FIFOs, reads streamed bursts through an accessor and replays a
- * stream's repeating waves whole periods at a time; the merger walks
- * each pair's sorted rowIds and coordinates once, into flat buffers;
+ * stream's repeating waves whole periods at a time; the merger counts
+ * each merge tree's row lengths from one pass over the partials;
  * OuterSPACE reuses its scatter's transfer for the gather. Each rests on
- * an ordering or shift-invariance argument, so the map-, scan- and
- * two-transfer implementations they replaced live on here, copied
- * verbatim minus their watchdog and fault-injection hooks, and every
- * result is compared exactly on seeded random inputs and edge shapes.
+ * an ordering, counting or shift-invariance argument, so the map-, scan-,
+ * round-walk and two-transfer implementations they replaced live on
+ * here, copied verbatim (all but the round walk minus their watchdog and
+ * fault-injection hooks), and every result is compared exactly on seeded
+ * random inputs and edge shapes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <map>
 #include <queue>
+#include <span>
 #include <string>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "sim/dram.hpp"
@@ -28,8 +34,10 @@
 #include "sparse/spgemm.hpp"
 #include "sparse/suitesparse.hpp"
 #include "testkit/oracles.hpp"
+#include "util/fault_inject.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/watchdog.hpp"
 
 namespace stellar::sim
 {
@@ -428,6 +436,359 @@ TEST(TransferOracle, RunsEqualSpelledOutChunks)
 }
 
 // ---------------------------------------------------------------------
+// Merger oracle: the round walk
+
+/**
+ * The merge schedules as they were while every round materialized its
+ * merged rows into flat buffers, copied verbatim with their watchdog
+ * and fault-injection hooks, so timeouts and error texts compare too.
+ */
+namespace roundwalk
+{
+
+using Coords = std::span<const std::int64_t>;
+
+/**
+ * One merge round's partial matrices, structure only: the cycle models
+ * count elements and never read a merged value. Partial p owns rows
+ * [partPtr[p], partPtr[p + 1]), and row r's coordinates are
+ * coords[rowPtr[r], rowPtr[r + 1]). clear() keeps the capacity, so
+ * later rounds reuse the buffers of earlier ones.
+ */
+struct Round
+{
+    std::vector<std::size_t> partPtr{0};
+    std::vector<std::int64_t> rowIds;
+    std::vector<std::size_t> rowPtr{0};
+    std::vector<std::int64_t> coords;
+
+    std::size_t size() const { return partPtr.size() - 1; }
+
+    void
+    clear()
+    {
+        partPtr.resize(1);
+        rowIds.clear();
+        rowPtr.resize(1);
+        coords.clear();
+    }
+};
+
+/** The rows of a caller's partial matrix. */
+class MatrixRows
+{
+  public:
+    explicit MatrixRows(const sparse::PartialMatrix &m) : m_(m) {}
+
+    std::size_t rows() const { return m_.rowIds.size(); }
+    std::int64_t id(std::size_t r) const { return m_.rowIds[r]; }
+    Coords coords(std::size_t r) const { return m_.rowFibers[r].coords; }
+
+  private:
+    const sparse::PartialMatrix &m_;
+};
+
+/** The rows of partial `p` of a round. */
+class RoundRows
+{
+  public:
+    RoundRows(const Round &round, std::size_t p)
+        : round_(round), first_(round.partPtr[p]),
+          rows_(round.partPtr[p + 1] - round.partPtr[p])
+    {
+    }
+
+    std::size_t rows() const { return rows_; }
+    std::int64_t id(std::size_t r) const { return round_.rowIds[first_ + r]; }
+
+    Coords
+    coords(std::size_t r) const
+    {
+        const std::size_t begin = round_.rowPtr[first_ + r];
+        return {round_.coords.data() + begin,
+                round_.rowPtr[first_ + r + 1] - begin};
+    }
+
+  private:
+    const Round &round_;
+    std::size_t first_, rows_;
+};
+
+/**
+ * Append the union of two coordinate runs to `out`, a shared coordinate
+ * once. The two-pointer loop has no data-dependent branch: each step
+ * emits the smaller head and advances every side that holds it. The
+ * output strictly increases exactly when both runs do (a run's
+ * elements keep their order and each emits its own output), so
+ * checking the output checks the inputs. Returns that verdict.
+ */
+bool
+mergeCoords(Coords a, Coords b, std::vector<std::int64_t> &out)
+{
+    const std::size_t base = out.size();
+    out.resize(base + a.size() + b.size());
+    std::int64_t *dst = out.data() + base;
+    std::size_t ia = 0, ib = 0, k = 0;
+    std::int64_t prev = 0;
+    bool increasing = true;
+    auto emit = [&](std::int64_t c) {
+        increasing &= (k == 0) | (c > prev);
+        dst[k++] = c;
+        prev = c;
+    };
+    while (ia < a.size() && ib < b.size()) {
+        const std::int64_t x = a[ia], y = b[ib];
+        emit(x < y ? x : y);
+        ia += x <= y;
+        ib += y <= x;
+    }
+    for (; ia < a.size(); ia++)
+        emit(a[ia]);
+    for (; ib < b.size(); ib++)
+        emit(b[ib]);
+    out.resize(base + k);
+    return increasing;
+}
+
+/**
+ * Merge a pair in one walk over their rowIds, which must be strictly
+ * increasing, and append the result to `out` as its next partial. Each
+ * shared row is merged once; a row only one side holds is copied.
+ * `pair()` names the pair in the error an unsorted input raises.
+ */
+template <typename A, typename B, typename Name>
+void
+mergeInto(const A &a, const B &b, Round &out, const Name &pair)
+{
+    const std::size_t first_row = out.rowIds.size();
+    std::size_t ia = 0, ib = 0;
+    while (ia < a.rows() || ib < b.rows()) {
+        bool take_a = ib == b.rows() ||
+                      (ia < a.rows() && a.id(ia) <= b.id(ib));
+        bool take_b = ia == a.rows() ||
+                      (ib < b.rows() && b.id(ib) <= a.id(ia));
+        std::int64_t row = take_a ? a.id(ia) : b.id(ib);
+        if (out.rowIds.size() > first_row && row <= out.rowIds.back())
+            fatal(pair() + ": partial-matrix rowIds must be strictly "
+                  "increasing, but row " + std::to_string(row) +
+                  " follows row " + std::to_string(out.rowIds.back()));
+        out.rowIds.push_back(row);
+        if (take_a && take_b) {
+            if (!mergeCoords(a.coords(ia++), b.coords(ib++), out.coords))
+                panic(pair() + ": row " + std::to_string(row) + " of both "
+                      "partials must have strictly increasing coords");
+        } else {
+            Coords run = take_a ? a.coords(ia++) : b.coords(ib++);
+            out.coords.insert(out.coords.end(), run.begin(), run.end());
+        }
+        out.rowPtr.push_back(out.coords.size());
+    }
+    out.partPtr.push_back(out.rowIds.size());
+}
+
+/** Append partial `p`'s rows to `out` unchanged, as its next partial. */
+template <typename P>
+void
+copyInto(const P &p, Round &out)
+{
+    for (std::size_t r = 0; r < p.rows(); r++) {
+        out.rowIds.push_back(p.id(r));
+        Coords run = p.coords(r);
+        out.coords.insert(out.coords.end(), run.begin(), run.end());
+        out.rowPtr.push_back(out.coords.size());
+    }
+    out.partPtr.push_back(out.rowIds.size());
+}
+
+void
+requireFields(const MergerConfig &config, MergerKind kind)
+{
+    if (kind == MergerKind::RowPartitioned)
+        require(config.lanes >= 1, "MergerConfig::lanes must be at least 1");
+    else
+        require(config.throughput >= 1,
+                "MergerConfig::throughput must be at least 1");
+}
+
+/**
+ * The cycles the last partial of `round`, a merged pair, costs. A
+ * row-partitioned merger hands each row to the least-loaded lane in
+ * arrival order (the hardware cannot sort by length ahead of time);
+ * each lane emits one element per cycle plus a startup bubble per
+ * fiber. The lanes are a min-heap, `lanes` its scratch. When several
+ * lanes tie for least loaded the heap may pick another one than a scan
+ * would, but both add the same load to the same value, so the multiset
+ * of loads, and its max, is the same. A flattened merger pops up to
+ * `throughput` elements every cycle regardless of row boundaries
+ * (Fig 19b).
+ */
+MergerResult
+pairCycles(const MergerConfig &config, MergerKind kind, const Round &round,
+           std::vector<std::int64_t> &lanes)
+{
+    const std::size_t first = round.partPtr[round.size() - 1];
+    const std::size_t last = round.partPtr[round.size()];
+    MergerResult result;
+    result.mergedElements =
+            std::int64_t(round.rowPtr[last] - round.rowPtr[first]);
+    if (kind == MergerKind::Flattened) {
+        result.cycles = (result.mergedElements + config.throughput - 1) /
+                        config.throughput;
+    } else {
+        lanes.assign(std::size_t(config.lanes), 0);
+        const std::size_t n = lanes.size();
+        for (std::size_t r = first; r < last; r++) {
+            // Load the lightest lane, then sift it down.
+            const std::int64_t load =
+                    lanes[0] + std::int64_t(round.rowPtr[r + 1] -
+                                            round.rowPtr[r]) +
+                    config.laneStartup;
+            std::size_t at = 0;
+            for (std::size_t child = 1; child < n; child = 2 * at + 1) {
+                if (child + 1 < n && lanes[child + 1] < lanes[child])
+                    child++;
+                if (lanes[child] >= load)
+                    break;
+                lanes[at] = lanes[child];
+                at = child;
+            }
+            lanes[at] = load;
+        }
+        result.cycles = *std::max_element(lanes.begin(), lanes.end());
+    }
+    result.cycles = std::max<std::int64_t>(result.cycles, 1);
+    return result;
+}
+
+MergerResult
+mergePair(const MergerConfig &config, MergerKind kind,
+          const sparse::PartialMatrix &a, const sparse::PartialMatrix &b)
+{
+    requireFields(config, kind);
+    Round merged;
+    mergeInto(MatrixRows(a), MatrixRows(b), merged,
+              [] { return std::string("merged pair"); });
+    std::vector<std::int64_t> lanes;
+    return pairCycles(config, kind, merged, lanes);
+}
+
+MergerResult
+mergePairRowPartitioned(const MergerConfig &config,
+                        const sparse::PartialMatrix &a,
+                        const sparse::PartialMatrix &b)
+{
+    return mergePair(config, MergerKind::RowPartitioned, a, b);
+}
+
+MergerResult
+mergePairFlattened(const MergerConfig &config,
+                   const sparse::PartialMatrix &a,
+                   const sparse::PartialMatrix &b)
+{
+    return mergePair(config, MergerKind::Flattened, a, b);
+}
+
+MergerResult
+runMergeSchedule(const MergerConfig &config, MergerKind kind,
+                 const std::vector<sparse::PartialMatrix> &partials)
+{
+    requireFields(config, kind);
+    MergerResult total;
+    // SpArch's execution order: merge neighbouring partial matrices
+    // pairwise, round after round, until one remains. Round one reads
+    // the caller's partials; each later round reads the last round's
+    // buffers and writes into the ones the round before it used.
+    Round current, next;
+    std::vector<std::int64_t> lanes;
+    util::WatchdogBatcher dog; // one step per merged pair, batched
+    auto run_round = [&](std::size_t count, const auto &partial_at) {
+        next.clear();
+        for (std::size_t i = 0; i + 1 < count; i += 2) {
+            auto pair = [&]() {
+                return "merge round with " + std::to_string(count) +
+                       " partial matrices, pair at " + std::to_string(i);
+            };
+            if (util::fault::armed())
+                util::fault::checkpoint("sim.merger.pair");
+            dog.step([&]() {
+                return pair() + ", " +
+                       std::to_string(total.mergedElements) +
+                       " elements merged so far";
+            });
+            mergeInto(partial_at(i), partial_at(i + 1), next, pair);
+            MergerResult cost = pairCycles(config, kind, next, lanes);
+            total.cycles += cost.cycles;
+            total.mergedElements += cost.mergedElements;
+        }
+        if (count % 2 == 1)
+            copyInto(partial_at(count - 1), next);
+        std::swap(current, next);
+    };
+    if (partials.size() > 1)
+        run_round(partials.size(),
+                  [&](std::size_t i) { return MatrixRows(partials[i]); });
+    while (current.size() > 1)
+        run_round(current.size(),
+                  [&](std::size_t i) { return RoundRows(current, i); });
+    return total;
+}
+
+MergerResult
+runHierarchicalMerge(const MergerConfig &config,
+                     const std::vector<sparse::PartialMatrix> &partials,
+                     int ways)
+{
+    require(ways >= 2, "hierarchical merge needs at least 2 ways");
+    requireFields(config, MergerKind::Flattened);
+    MergerResult total;
+    if (partials.empty())
+        return total;
+    // ceil(log2(ways)) comparator levels.
+    const int levels = std::bit_width(unsigned(ways) - 1u);
+
+    // Process the partial stream in groups of `ways`. Each group flows
+    // through the pipelined tree: output elements emerge at the
+    // flattened throughput once the tree fills.
+    std::size_t group_start = 0;
+    Round merged, scratch;
+    util::WatchdogBatcher dog; // one step per merge-tree group
+    while (group_start < partials.size()) {
+        if (util::fault::armed())
+            util::fault::checkpoint("sim.merger.group");
+        dog.step([&]() {
+            return "hierarchical merge group at " +
+                   std::to_string(group_start) + "/" +
+                   std::to_string(partials.size());
+        });
+        std::size_t group_end =
+                std::min(group_start + std::size_t(ways), partials.size());
+        // Merge the group's structure to get the output element count,
+        // starting from an empty partial.
+        merged.clear();
+        merged.partPtr.push_back(0);
+        for (std::size_t i = group_start; i < group_end; i++) {
+            scratch.clear();
+            mergeInto(RoundRows(merged, 0), MatrixRows(partials[i]),
+                      scratch, [&]() {
+                          return "hierarchical merge group at " +
+                                 std::to_string(group_start) +
+                                 ", partial " + std::to_string(i);
+                      });
+            std::swap(merged, scratch);
+        }
+        std::int64_t elements = std::int64_t(merged.coords.size());
+        total.mergedElements += elements;
+        total.cycles += (elements + config.throughput - 1) /
+                        config.throughput +
+                        levels; // pipeline fill
+        group_start = group_end;
+    }
+    return total;
+}
+
+} // namespace roundwalk
+
+// ---------------------------------------------------------------------
 // Merger oracle: the std::map row tables
 
 std::map<std::int64_t, std::int64_t>
@@ -808,6 +1169,303 @@ TEST(MergerOracle, ErrorTextsArePinned)
               "stellar panic: merge round with 2 partial matrices, pair at "
               "0: row 1 of both partials must have strictly increasing "
               "coords");
+}
+
+/** How one merger call ended: its result, or its exception's dynamic
+ *  type and text. */
+struct Outcome
+{
+    MergerResult result;
+    std::string error;
+
+    bool operator==(const Outcome &) const = default;
+};
+
+bool
+operator==(const MergerResult &a, const MergerResult &b)
+{
+    return a.cycles == b.cycles && a.mergedElements == b.mergedElements;
+}
+
+template <typename Fn>
+Outcome
+outcomeOf(Fn fn)
+{
+    Outcome out;
+    try {
+        out.result = fn();
+    } catch (const std::exception &err) {
+        out.error = std::string(typeid(err).name()) + ": " + err.what();
+    }
+    return out;
+}
+
+/** `fn`'s outcome under a step budget of `budget` (0: none). */
+template <typename Fn>
+Outcome
+outcomeWithin(std::int64_t budget, Fn fn)
+{
+    util::WatchdogScope scope("sim", budget);
+    return outcomeOf(fn);
+}
+
+std::string
+describe(const Outcome &o)
+{
+    return o.error.empty() ? std::to_string(o.result.cycles) + " cycles, " +
+                                     std::to_string(o.result.mergedElements) +
+                                     " elements"
+                           : o.error;
+}
+
+/**
+ * A list of `count` partials over a few dozen rows and coordinates
+ * spread over the int64 range (negative ids included). Partials may be
+ * empty, fibers may be empty, and each partial may hold a row no other
+ * partial holds.
+ */
+std::vector<sparse::PartialMatrix>
+randomSpreadList(Rng &rng, std::size_t count)
+{
+    const std::int64_t row_base = rng.nextRange(-(std::int64_t(1) << 50),
+                                                std::int64_t(1) << 50);
+    const std::int64_t row_stride = rng.nextRange(1, std::int64_t(1) << 30);
+    const std::int64_t coord_base = rng.nextRange(
+            -(std::int64_t(1) << 50), std::int64_t(1) << 50);
+    const std::int64_t coord_stride = rng.nextRange(1, 1 << 20);
+    const std::int64_t rows = rng.nextRange(1, 48);
+    const std::int64_t coords = rng.nextRange(1, 40);
+    const double row_density = 0.05 + 0.4 * rng.nextDouble();
+    std::vector<sparse::PartialMatrix> partials(count);
+    for (std::size_t p = 0; p < count; p++) {
+        if (rng.nextBool(0.1))
+            continue; // an empty partial
+        auto &partial = partials[p];
+        auto add_row = [&](std::int64_t id) {
+            sparse::Fiber fiber;
+            if (!rng.nextBool(0.1))
+                for (std::int64_t c = 0; c < coords; c++)
+                    if (rng.nextBool(0.25)) {
+                        fiber.coords.push_back(coord_base +
+                                               c * coord_stride);
+                        fiber.values.push_back(1.0);
+                    }
+            partial.rowIds.push_back(id);
+            partial.rowFibers.push_back(std::move(fiber));
+        };
+        for (std::int64_t r = 0; r < rows; r++)
+            if (rng.nextBool(row_density))
+                add_row(row_base + r * row_stride);
+        if (rng.nextBool(0.2)) // a row only this partial holds
+            add_row(row_base + (rows + std::int64_t(p)) * row_stride);
+    }
+    return partials;
+}
+
+enum class Injected
+{
+    RowDescent,
+    RepeatedRow,
+    RepeatedCoord,
+    UnsortedShared,
+    UnsortedAlone,
+};
+
+/**
+ * Damage one random site of `partials` the way `kind` names; false
+ * when the list has no such site. A descent swaps two neighbouring
+ * rowIds, a repeated row copies one over the next, a repeated coord
+ * doubles one, and an unsorted fiber swaps two neighbouring coords of a
+ * row some other partial holds too (shared) or none does (alone).
+ */
+bool
+inject(Rng &rng, std::vector<sparse::PartialMatrix> &partials,
+       Injected kind)
+{
+    std::map<std::int64_t, int> holders;
+    for (const auto &partial : partials)
+        for (auto row : partial.rowIds)
+            holders[row]++;
+    std::vector<std::pair<std::size_t, std::size_t>> sites;
+    for (std::size_t p = 0; p < partials.size(); p++) {
+        const auto &partial = partials[p];
+        for (std::size_t f = 0; f < partial.rowIds.size(); f++) {
+            const auto len = partial.rowFibers[f].coords.size();
+            const int held = holders[partial.rowIds[f]];
+            const bool site =
+                    kind == Injected::RowDescent ||
+                                    kind == Injected::RepeatedRow
+                            ? f > 0
+                    : kind == Injected::RepeatedCoord ? len >= 1
+                    : kind == Injected::UnsortedShared
+                            ? len >= 2 && held >= 2
+                            : len >= 2 && held == 1;
+            if (site)
+                sites.emplace_back(p, f);
+        }
+    }
+    if (sites.empty())
+        return false;
+    const auto [p, f] = sites[rng.nextBounded(sites.size())];
+    auto &partial = partials[p];
+    auto &fiber = partial.rowFibers[f];
+    const std::size_t at = fiber.coords.empty()
+                                   ? 0
+                                   : rng.nextBounded(fiber.coords.size());
+    switch (kind) {
+    case Injected::RowDescent:
+        std::swap(partial.rowIds[f - 1], partial.rowIds[f]);
+        break;
+    case Injected::RepeatedRow:
+        partial.rowIds[f] = partial.rowIds[f - 1];
+        break;
+    case Injected::RepeatedCoord:
+        fiber.coords.insert(fiber.coords.begin() + std::ptrdiff_t(at),
+                            fiber.coords[at]);
+        fiber.values.insert(fiber.values.begin() + std::ptrdiff_t(at), 1.0);
+        break;
+    case Injected::UnsortedShared:
+    case Injected::UnsortedAlone: {
+        const std::size_t i = std::min(at, fiber.coords.size() - 2);
+        std::swap(fiber.coords[i], fiber.coords[i + 1]);
+        break;
+    }
+    }
+    return true;
+}
+
+/**
+ * Every merger entry point against the round walk on `partials`: both
+ * pairwise schedules and the hierarchical tree at six widths, and the
+ * pair functions on the first two partials and two other drawn ones. With
+ * `budgets`, also under every step budget up to one past the steps the
+ * walk takes, so the timeout lands on the same step with the same text.
+ * Returns how many entry points the walk raised an error from, with no
+ * budget.
+ */
+int
+expectCountedMatchesWalk(Rng &rng,
+                         const std::vector<sparse::PartialMatrix> &partials,
+                         const MergerConfig &config, bool budgets)
+{
+    std::vector<std::pair<std::string, std::function<MergerResult()>>>
+            counted, walked;
+    auto add = [&](std::string name, std::function<MergerResult()> mine,
+                   std::function<MergerResult()> theirs) {
+        counted.emplace_back(name, std::move(mine));
+        walked.emplace_back(std::move(name), std::move(theirs));
+    };
+    for (auto kind : {MergerKind::RowPartitioned, MergerKind::Flattened})
+        add(kind == MergerKind::RowPartitioned ? "row-partitioned schedule"
+                                               : "flattened schedule",
+            [&, kind] { return runMergeSchedule(config, kind, partials); },
+            [&, kind] {
+                return roundwalk::runMergeSchedule(config, kind, partials);
+            });
+    for (int ways : {2, 3, 4, 7, 16, 64})
+        add(std::to_string(ways) + "-way tree",
+            [&, ways] { return runHierarchicalMerge(config, partials, ways); },
+            [&, ways] {
+                return roundwalk::runHierarchicalMerge(config, partials,
+                                                       ways);
+            });
+    if (partials.size() >= 2) {
+        const std::size_t i = rng.nextBounded(partials.size());
+        const std::size_t j =
+                (i + 1 + rng.nextBounded(partials.size() - 1)) %
+                partials.size();
+        for (auto [a, b] : {std::pair<std::size_t, std::size_t>{0, 1},
+                            std::pair<std::size_t, std::size_t>{i, j}}) {
+            const auto &x = partials[a], &y = partials[b];
+            add("row-partitioned pair " + std::to_string(a) + "," +
+                        std::to_string(b),
+                [&] { return mergePairRowPartitioned(config, x, y); },
+                [&] {
+                    return roundwalk::mergePairRowPartitioned(config, x, y);
+                });
+            add("flattened pair " + std::to_string(a) + "," +
+                        std::to_string(b),
+                [&] { return mergePairFlattened(config, x, y); },
+                [&] { return roundwalk::mergePairFlattened(config, x, y); });
+        }
+    }
+    int raised = 0;
+    for (std::size_t e = 0; e < counted.size(); e++) {
+        SCOPED_TRACE(counted[e].first);
+        const Outcome want = outcomeOf(walked[e].second);
+        raised += !want.error.empty();
+        const Outcome got = outcomeOf(counted[e].second);
+        EXPECT_EQ(got, want) << describe(got) << "\nwant " << describe(want);
+        if (!budgets)
+            continue;
+        util::WatchdogScope counter("sim", 0);
+        outcomeOf(walked[e].second);
+        const std::int64_t steps = counter.watchdog().stepsExecuted();
+        for (std::int64_t budget = 1; budget <= steps + 1; budget++) {
+            SCOPED_TRACE("budget " + std::to_string(budget));
+            const Outcome want_in = outcomeWithin(budget, walked[e].second);
+            const Outcome got_in = outcomeWithin(budget, counted[e].second);
+            EXPECT_EQ(got_in, want_in)
+                    << describe(got_in) << "\nwant " << describe(want_in);
+        }
+    }
+    return raised;
+}
+
+TEST(MergerOracle, CountedTreesMatchTheRoundWalk)
+{
+    Rng rng(152);
+    std::vector<std::size_t> sizes = {2,  3,  4,   5,   6,   7,   9,
+                                      13, 31, 33,  64,  97,  255, 513,
+                                      1100};
+    for (int extra = 0; extra < 30; extra++)
+        sizes.push_back(std::size_t(rng.nextRange(2, 80)));
+    // Damaged lists per kind, and the entry points that raised on them.
+    std::map<int, std::pair<int, int>> damage;
+    for (std::size_t t = 0; t < sizes.size(); t++) {
+        const std::size_t count = sizes[t];
+        SCOPED_TRACE("list " + std::to_string(t) + " of " +
+                     std::to_string(count) + " partials");
+        MergerConfig config;
+        config.lanes = int(rng.nextRange(1, 40));
+        config.throughput = int(rng.nextRange(1, 20));
+        config.laneStartup = int(rng.nextRange(0, 3));
+        auto partials = randomSpreadList(rng, count);
+        // Walk every step budget on the short lists only.
+        const bool budgets = count <= 40;
+        expectCountedMatchesWalk(rng, partials, config, budgets);
+        for (auto kind : {Injected::RowDescent, Injected::RepeatedRow,
+                          Injected::RepeatedCoord, Injected::UnsortedShared,
+                          Injected::UnsortedAlone}) {
+            auto damaged = partials;
+            if (!inject(rng, damaged, kind))
+                continue;
+            SCOPED_TRACE("defect " + std::to_string(int(kind)));
+            damage[int(kind)].first++;
+            damage[int(kind)].second +=
+                    expectCountedMatchesWalk(rng, damaged, config, budgets);
+        }
+    }
+    // Every kind was injected often, and all but a never-shared
+    // unsorted row raised from some entry point.
+    for (int kind = 0; kind < 5; kind++) {
+        SCOPED_TRACE("defect " + std::to_string(kind));
+        EXPECT_GE(damage[kind].first, 30);
+        if (kind == int(Injected::UnsortedAlone))
+            EXPECT_EQ(damage[kind].second, 0);
+        else
+            EXPECT_GE(damage[kind].second, damage[kind].first);
+    }
+
+    // The OuterSPACE suite's partials, as fig 18 merges them.
+    for (const auto &profile : sparse::outerSpaceSuite()) {
+        SCOPED_TRACE(profile.name);
+        const auto matrix =
+                sparse::synthesize(sparse::scaleProfile(profile, 1500), 1);
+        const auto partials =
+                sparse::outerProductPartials(sparse::csrToCsc(matrix), matrix);
+        expectCountedMatchesWalk(rng, partials, MergerConfig(), false);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <string>
 #include <vector>
@@ -84,6 +85,36 @@ TEST(DramModel, IssuingPastTheCapGrowsTheInFlightRing)
     for (std::size_t i = 2; i < done.size(); i++)
         EXPECT_EQ(dram.outstanding(done[i]),
                   std::int64_t(done.size() - i - 1));
+}
+
+TEST(DramModel, OutstandingIsAPureCountInAnyQueryOrder)
+{
+    // Queries between issues may come in any order, earlier cycles
+    // after later ones: each must count exactly the completions after
+    // it, of all ever issued.
+    Rng rng(27);
+    for (int trial = 0; trial < 50; trial++) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        DramConfig config;
+        config.latency = rng.nextRange(0, 120);
+        config.bytesPerCycle = rng.nextRange(1, 64);
+        config.maxOutstanding = rng.nextRange(1, 16);
+        DramModel dram(config);
+        std::vector<std::int64_t> done;
+        std::int64_t now = 0;
+        for (int request = 0; request < 60; request++) {
+            now += rng.nextRange(0, 20);
+            done.push_back(dram.issue(now, rng.nextRange(1, 256)));
+            for (int query = 0; query < 6; query++) {
+                const std::int64_t at = now + rng.nextRange(0, 300);
+                const auto after = std::count_if(
+                        done.begin(), done.end(),
+                        [&](std::int64_t c) { return c > at; });
+                EXPECT_EQ(dram.outstanding(at), after) << "at " << at;
+                EXPECT_EQ(dram.canAccept(at), after < config.maxOutstanding);
+            }
+        }
+    }
 }
 
 TEST(DramModel, CompletionsStrictlyIncrease)

@@ -23,9 +23,11 @@
 #include "model/timing.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "sim/merger.hpp"
 #include "sim/outerspace.hpp"
 #include "sparse/matrix.hpp"
 #include "sparse/matrix_market.hpp"
+#include "sparse/spgemm.hpp"
 #include "testkit/oracles.hpp"
 #include "util/fault_inject.hpp"
 #include "util/json.hpp"
@@ -647,6 +649,57 @@ mutateMatrixMarketText(Rng &rng, std::string text)
     }
 }
 
+/**
+ * The merge trees of A * A against a count independent of them: the
+ * distinct (i, j) some A(i, k) A(k, j) reaches. A one-group tree
+ * merges exactly those, a pairwise schedule merges them in its last
+ * pair and more before, and no merger emits faster than its lanes or
+ * throughput allow.
+ */
+void
+checkMergerCounts(const sparse::CsrMatrix &a)
+{
+    const auto partials =
+            sparse::outerProductPartials(sparse::csrToCsc(a), a);
+    if (partials.size() < 2)
+        return;
+    std::int64_t nnz = 0;
+    for (std::int64_t i = 0; i < a.rows(); i++) {
+        std::set<std::int64_t> reached;
+        for (auto p = a.rowPtr()[std::size_t(i)];
+                p < a.rowPtr()[std::size_t(i + 1)]; p++) {
+            const auto k = a.colIdx()[std::size_t(p)];
+            for (auto q = a.rowPtr()[std::size_t(k)];
+                    q < a.rowPtr()[std::size_t(k + 1)]; q++)
+                reached.insert(a.colIdx()[std::size_t(q)]);
+        }
+        nnz += std::int64_t(reached.size());
+    }
+    sim::MergerConfig config;
+    config.lanes = 8;
+    config.throughput = 4;
+    const auto tree = sim::runHierarchicalMerge(config, partials,
+                                                int(partials.size()));
+    const auto row = sim::runMergeSchedule(
+            config, sim::MergerKind::RowPartitioned, partials);
+    const auto flat = sim::runMergeSchedule(
+            config, sim::MergerKind::Flattened, partials);
+    if (tree.mergedElements != nnz)
+        throw std::logic_error("fuzz property violated: a one-group merge "
+                               "tree merged " +
+                               std::to_string(tree.mergedElements) +
+                               " elements, A * A has " +
+                               std::to_string(nnz) + " nonzeros");
+    if (flat.mergedElements < nnz || row.mergedElements != flat.mergedElements)
+        throw std::logic_error("fuzz property violated: the pairwise "
+                               "schedules merged fewer elements than A * A "
+                               "has nonzeros, or different counts");
+    if (flat.cycles * config.throughput < flat.mergedElements ||
+            row.cycles * config.lanes < row.mergedElements)
+        throw std::logic_error("fuzz property violated: a merger emitted "
+                               "faster than its throughput or lanes");
+}
+
 /** Default MatrixMarket replay: parse, convert, simulate — bounded. */
 void
 defaultMtxOracle(const std::string &text)
@@ -669,6 +722,7 @@ defaultMtxOracle(const std::string &text)
         if (result.cycles < 0 || result.multiplies < 0)
             throw std::logic_error("fuzz property violated: negative "
                                    "simulated cycle/multiply count");
+        checkMergerCounts(csr);
     }
 }
 
