@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <functional>
 #include <limits>
 #include <span>
 #include <string>
@@ -69,50 +68,66 @@ transpose(std::span<const sparse::PartialMatrix *const> partials)
     return rows;
 }
 
+/** Calls `f(row)` for each row's run of `holdings`, which transpose()
+ *  grouped. */
+template <typename F>
+void
+forEachRow(std::span<const Holding> holdings, F &&f)
+{
+    for (std::size_t begin = 0, end; begin < holdings.size(); begin = end) {
+        end = begin + 1;
+        while (end < holdings.size() &&
+               holdings[end].row == holdings[begin].row)
+            end++;
+        f(holdings.subspan(begin, end - begin));
+    }
+}
+
 /**
  * Walks one row's holdings in partial order through an open-addressing
  * table from coordinate to the last partial holding it, sized to the
  * row. `charge(e, prev)` runs for each coordinate of holding e that an
  * earlier partial holds, `prev` being the latest such partial. A
- * coordinate a partial repeats is charged nothing. The table keeps the
- * largest size a row needed, and a row empties only the slots it
- * filled.
+ * coordinate a partial repeats is charged nothing. `unsorted(e, before,
+ * after)` runs for each holding whose coords do not strictly increase
+ * while another partial holds the row: `before` and `after` are the
+ * nearest such partials before and after holding e's, or kNone. A row
+ * with one holding is skipped. The table keeps the largest size a row
+ * needed, and a row empties only the slots it filled.
  */
 class RowWalker
 {
   public:
-    template <typename Charge>
+    template <typename Charge, typename Unsorted>
     void
-    walk(std::span<const Holding> row, Charge &&charge)
+    walk(std::span<const Holding> row, Charge &&charge, Unsorted &&unsorted)
     {
-        increasing_.assign(row.size(), true);
+        if (row.size() < 2)
+            return;
         std::size_t elements = 0;
         for (const Holding &h : row)
             elements += h.fiber->coords.size();
-        const bool shared = row.size() > 1;
-        if (shared)
-            fit(elements);
+        fit(elements);
         for (std::size_t e = 0; e < row.size(); e++) {
             const std::size_t p = row[e].partial;
             const std::vector<std::int64_t> &coords = row[e].fiber->coords;
             bool increasing = true;
             for (std::size_t i = 0; i < coords.size(); i++) {
                 increasing &= i == 0 || coords[i] > coords[i - 1];
-                if (!shared)
-                    continue;
                 const std::size_t prev = exchange(coords[i], p);
                 if (prev != kNone && prev != p)
                     charge(e, prev);
             }
-            increasing_[e] = increasing;
+            if (increasing)
+                continue;
+            const auto [before, after] = neighbours(row, e);
+            if (before != kNone || after != kNone)
+                unsorted(e, before, after);
         }
         for (std::size_t i : filled_)
             slots_[i].holder = kNone;
         filled_.clear();
     }
-
-    /** Whether holding e's coords strictly increase. */
-    bool increasing(std::size_t e) const { return increasing_[e]; }
 
   private:
     struct Slot
@@ -120,6 +135,22 @@ class RowWalker
         std::int64_t coord;
         std::size_t holder;
     };
+
+    /** The nearest partials before and after holding e's that hold its
+     *  row too, or kNone. */
+    static std::pair<std::size_t, std::size_t>
+    neighbours(std::span<const Holding> row, std::size_t e)
+    {
+        const std::size_t p = row[e].partial;
+        std::size_t before = kNone, after = kNone;
+        for (std::size_t i = e; i-- > 0 && before == kNone;)
+            if (row[i].partial != p)
+                before = row[i].partial;
+        for (std::size_t i = e + 1; i < row.size() && after == kNone; i++)
+            if (row[i].partial != p)
+                after = row[i].partial;
+        return {before, after};
+    }
 
     void
     fit(std::size_t elements)
@@ -153,24 +184,7 @@ class RowWalker
     std::vector<std::size_t> filled_;
     std::size_t mask_ = 0;
     int shift_ = 64;
-    std::vector<bool> increasing_;
 };
-
-/** The nearest partials before and after holding e's that hold its row
- *  too, or kNone. */
-std::pair<std::size_t, std::size_t>
-neighbours(std::span<const Holding> row, std::size_t e)
-{
-    const std::size_t p = row[e].partial;
-    std::size_t before = kNone, after = kNone;
-    for (std::size_t i = e; i-- > 0 && before == kNone;)
-        if (row[i].partial != p)
-            before = row[i].partial;
-    for (std::size_t i = e + 1; i < row.size() && after == kNone; i++)
-        if (row[i].partial != p)
-            after = row[i].partial;
-    return {before, after};
-}
 
 /**
  * The first defect a merge meets. `step` is the pair (or, in a
@@ -293,36 +307,31 @@ countPairs(const Schedule &tree,
     std::vector<std::uint32_t> charges; // per holding, per level
     std::vector<std::int64_t> left;     // per holding: not yet collided
     std::vector<std::pair<std::size_t, std::int64_t>> rows; // (pair, length)
-    for (std::size_t begin = 0, end; begin < holdings.size(); begin = end) {
-        end = begin + 1;
-        while (end < holdings.size() &&
-               holdings[end].row == holdings[begin].row)
-            end++;
-        const std::span<const Holding> row(holdings.data() + begin,
-                                           end - begin);
+    forEachRow(holdings, [&](std::span<const Holding> row) {
         charges.assign(row.size() * (rounds + 1), 0);
-        walker.walk(row, [&](std::size_t e, std::size_t prev) {
-            charges[e * (rounds + 1) +
-                    std::size_t(std::bit_width(prev ^ row[e].partial))]++;
-        });
+        walker.walk(
+                row,
+                [&](std::size_t e, std::size_t prev) {
+                    charges[e * (rounds + 1) +
+                            std::size_t(std::bit_width(
+                                    prev ^ row[e].partial))]++;
+                },
+                // An unsorted fiber raises where its row first meets
+                // another holder's.
+                [&](std::size_t e, std::size_t before, std::size_t after) {
+                    const std::size_t p = row[e].partial;
+                    std::size_t level = kNone;
+                    for (std::size_t q : {before, after})
+                        if (q != kNone)
+                            level = std::min(
+                                    level,
+                                    std::size_t(std::bit_width(p ^ q)));
+                    out.defect.keep({tree.pairOf(level, p >> level),
+                                     row[e].row, false, 0});
+                });
         left.resize(row.size());
-        for (std::size_t e = 0; e < row.size(); e++) {
+        for (std::size_t e = 0; e < row.size(); e++)
             left[e] = std::int64_t(row[e].fiber->coords.size());
-            if (walker.increasing(e))
-                continue;
-            // An unsorted fiber raises where its row first meets
-            // another holder's, and never if it has none.
-            const std::size_t p = row[e].partial;
-            const auto [before, after] = neighbours(row, e);
-            std::size_t level = kNone;
-            for (std::size_t q : {before, after})
-                if (q != kNone)
-                    level = std::min(level,
-                                     std::size_t(std::bit_width(p ^ q)));
-            if (level != kNone)
-                out.defect.keep({tree.pairOf(level, p >> level),
-                                 row[e].row, false, 0});
-        }
         for (std::size_t level = 1; level <= rounds; level++) {
             for (std::size_t e = 0; e < row.size(); e++)
                 left[e] -= charges[e * (rounds + 1) + level];
@@ -341,7 +350,7 @@ countPairs(const Schedule &tree,
                     rows.emplace_back(pair, length);
             }
         }
-    }
+    });
     if (keep_rows) {
         // Stable counting sort by pair keeps each pair's rows in order.
         out.rowPtr.assign(tree.pairs() + 1, 0);
@@ -375,11 +384,9 @@ requireFields(const MergerConfig &config, MergerKind kind)
  * startup bubble per fiber. The lanes are a min-heap, `lanes` its
  * scratch. When several lanes tie for least loaded the heap may pick
  * another one than a scan would, but both add the same load to the
- * same value, so the multiset of loads, and its max, is the same. So
- * while no load is negative, the first `lanes` rows each take an idle
- * lane, and the heap starts as a heapify of them. A flattened merger
- * pops up to `throughput` elements every cycle regardless of row
- * boundaries (Fig 19b).
+ * same value, so the multiset of loads, and its max, is the same. A
+ * flattened merger pops up to `throughput` elements every cycle
+ * regardless of row boundaries (Fig 19b).
  */
 MergerResult
 pairCycles(const MergerConfig &config, MergerKind kind,
@@ -395,19 +402,11 @@ pairCycles(const MergerConfig &config, MergerKind kind,
         const std::span<const std::int64_t> rows(
                 counts.lengths.data() + counts.rowPtr[q],
                 counts.rowPtr[q + 1] - counts.rowPtr[q]);
-        const std::size_t n = std::size_t(config.lanes);
-        lanes.clear();
-        if (config.laneStartup >= 0)
-            for (std::size_t r = 0; r < std::min(n, rows.size()); r++)
-                lanes.push_back(rows[r] + config.laneStartup);
-        if (lanes.size() < rows.size()) {
-            lanes.resize(n, 0);
-            std::make_heap(lanes.begin(), lanes.end(), std::greater<>());
-        }
-        for (std::size_t r = lanes.size(); r < rows.size(); r++) {
+        lanes.assign(std::size_t(config.lanes), 0);
+        const std::size_t n = lanes.size();
+        for (const std::int64_t length : rows) {
             // Load the lightest lane, then sift it down.
-            const std::int64_t load =
-                    lanes[0] + rows[r] + config.laneStartup;
+            const std::int64_t load = lanes[0] + length + config.laneStartup;
             std::size_t at = 0;
             for (std::size_t child = 1; child < n; child = 2 * at + 1) {
                 if (child + 1 < n && lanes[child + 1] < lanes[child])
@@ -419,9 +418,7 @@ pairCycles(const MergerConfig &config, MergerKind kind,
             }
             lanes[at] = load;
         }
-        result.cycles = lanes.empty() ? 0
-                                      : *std::max_element(lanes.begin(),
-                                                          lanes.end());
+        result.cycles = *std::max_element(lanes.begin(), lanes.end());
     }
     result.cycles = std::max<std::int64_t>(result.cycles, 1);
     return result;
@@ -541,30 +538,21 @@ runHierarchicalMerge(const MergerConfig &config,
     }
     const std::vector<Holding> holdings = transpose(pointersTo(partials));
     RowWalker walker;
-    for (std::size_t begin = 0, end; begin < holdings.size(); begin = end) {
-        end = begin + 1;
-        while (end < holdings.size() &&
-               holdings[end].row == holdings[begin].row)
-            end++;
-        const std::span<const Holding> row(holdings.data() + begin,
-                                           end - begin);
-        walker.walk(row, [&](std::size_t e, std::size_t prev) {
-            if (prev / group == row[e].partial / group)
-                elements[prev / group]--;
-        });
-        for (std::size_t e = 0; e < row.size(); e++) {
-            if (walker.increasing(e))
-                continue;
-            const std::size_t p = row[e].partial;
-            const auto [before, after] = neighbours(row, e);
-            const std::size_t at =
-                    before != kNone && before / group == p / group ? p
-                    : after != kNone && after / group == p / group ? after
-                                                                   : kNone;
-            if (at != kNone)
-                defect.keep({at, row[e].row, false, 0});
-        }
-    }
+    forEachRow(holdings, [&](std::span<const Holding> row) {
+        walker.walk(
+                row,
+                [&](std::size_t e, std::size_t prev) {
+                    if (prev / group == row[e].partial / group)
+                        elements[prev / group]--;
+                },
+                [&](std::size_t e, std::size_t before, std::size_t after) {
+                    const std::size_t p = row[e].partial;
+                    if (before != kNone && before / group == p / group)
+                        defect.keep({p, row[e].row, false, 0});
+                    else if (after != kNone && after / group == p / group)
+                        defect.keep({after, row[e].row, false, 0});
+                });
+    });
 
     util::WatchdogBatcher dog; // one step per merge-tree group
     for (std::size_t g = 0; g < elements.size(); g++) {

@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "sim/outerspace.hpp"
 #include "sparse/spgemm.hpp"
 #include "sparse/suitesparse.hpp"
+#include "testkit/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace stellar::sim
@@ -205,22 +205,6 @@ TEST(SimBounds, OuterSpaceSuiteAt6000Nnz)
     expectSuiteBounds(6000);
 }
 
-/** The distinct (i, j) of A * A that some A(i, k) A(k, j) reaches. */
-std::int64_t
-structuralProductNnz(const sparse::CsrMatrix &a)
-{
-    std::set<std::pair<std::int64_t, std::int64_t>> reached;
-    for (std::int64_t i = 0; i < a.rows(); i++)
-        for (auto p = a.rowPtr()[std::size_t(i)];
-                p < a.rowPtr()[std::size_t(i + 1)]; p++) {
-            const std::int64_t k = a.colIdx()[std::size_t(p)];
-            for (auto q = a.rowPtr()[std::size_t(k)];
-                    q < a.rowPtr()[std::size_t(k + 1)]; q++)
-                reached.emplace(i, a.colIdx()[std::size_t(q)]);
-        }
-    return std::int64_t(reached.size());
-}
-
 TEST(SimBounds, MergersOnSuiteAt1500Nnz)
 {
     std::vector<MergerConfig> configs(3);
@@ -235,7 +219,7 @@ TEST(SimBounds, MergersOnSuiteAt1500Nnz)
         const auto partials =
                 sparse::outerProductPartials(sparse::csrToCsc(a), a);
         ASSERT_GE(partials.size(), 2u) << profile.name;
-        const std::int64_t nnz = structuralProductNnz(a);
+        const std::int64_t nnz = testkit::structuralProductNnz(a);
         EXPECT_GE(nnz, sparse::spgemmGustavson(a, a).nnz()) << profile.name;
         for (std::size_t c = 0; c < configs.size(); c++) {
             SCOPED_TRACE(profile.name + ", config " + std::to_string(c));

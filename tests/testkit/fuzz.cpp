@@ -663,18 +663,7 @@ checkMergerCounts(const sparse::CsrMatrix &a)
             sparse::outerProductPartials(sparse::csrToCsc(a), a);
     if (partials.size() < 2)
         return;
-    std::int64_t nnz = 0;
-    for (std::int64_t i = 0; i < a.rows(); i++) {
-        std::set<std::int64_t> reached;
-        for (auto p = a.rowPtr()[std::size_t(i)];
-                p < a.rowPtr()[std::size_t(i + 1)]; p++) {
-            const auto k = a.colIdx()[std::size_t(p)];
-            for (auto q = a.rowPtr()[std::size_t(k)];
-                    q < a.rowPtr()[std::size_t(k + 1)]; q++)
-                reached.insert(a.colIdx()[std::size_t(q)]);
-        }
-        nnz += std::int64_t(reached.size());
-    }
+    const std::int64_t nnz = testkit::structuralProductNnz(a);
     sim::MergerConfig config;
     config.lanes = 8;
     config.throughput = 4;

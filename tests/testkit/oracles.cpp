@@ -273,4 +273,23 @@ mergePartialPair(const sparse::PartialMatrix &a,
     return merged;
 }
 
+std::int64_t
+structuralProductNnz(const sparse::CsrMatrix &a)
+{
+    std::int64_t nnz = 0;
+    std::set<std::int64_t> reached;
+    for (std::int64_t i = 0; i < a.rows(); i++) {
+        reached.clear();
+        for (auto p = a.rowPtr()[std::size_t(i)];
+                p < a.rowPtr()[std::size_t(i + 1)]; p++) {
+            const std::int64_t k = a.colIdx()[std::size_t(p)];
+            for (auto q = a.rowPtr()[std::size_t(k)];
+                    q < a.rowPtr()[std::size_t(k + 1)]; q++)
+                reached.insert(a.colIdx()[std::size_t(q)]);
+        }
+        nnz += std::int64_t(reached.size());
+    }
+    return nnz;
+}
+
 } // namespace stellar::testkit

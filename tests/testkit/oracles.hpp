@@ -9,6 +9,7 @@
 #ifndef STELLAR_TESTKIT_ORACLES_HPP
 #define STELLAR_TESTKIT_ORACLES_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "core/iteration_space.hpp"
@@ -59,6 +60,14 @@ applyTransformNaive(const core::IterationSpace &space,
  */
 sparse::PartialMatrix mergePartialPair(const sparse::PartialMatrix &a,
                                        const sparse::PartialMatrix &b);
+
+/**
+ * The structural nonzeros of A * A: the distinct (i, j) that some
+ * A(i, k) A(k, j) reaches, counted row by row through ordered sets. The
+ * mergers' independent referee: sparse::spgemmGustavson drops cancelled
+ * zeros, so its nnz is only a lower bound.
+ */
+std::int64_t structuralProductNnz(const sparse::CsrMatrix &a);
 
 } // namespace stellar::testkit
 
